@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"regiongrow/internal/homog"
@@ -159,23 +160,64 @@ func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Conf
 
 // FillRegions recomputes the Regions list and FinalRegions count from the
 // label array. Engines call it after producing Labels.
+//
+// Labels must be anchors, as every engine's are: each region's label is
+// the linear index of its first pixel in raster order. A region is then
+// appended where labels[i] == i, already in ID order, and is looked up
+// only where the label changes. FillRegions panics on a label that is not
+// an anchor.
 func (s *Segmentation) FillRegions(im *pixmap.Image) {
-	info := make(map[int32]*RegionInfo)
+	n := 0
 	for i, lab := range s.Labels {
-		ri, ok := info[lab]
-		if !ok {
-			ri = &RegionInfo{ID: lab, IV: homog.Empty()}
-			info[lab] = ri
+		if int(lab) == i {
+			n++
 		}
-		ri.Area++
-		ri.IV = ri.IV.Union(homog.Point(im.Pix[i]))
 	}
-	s.Regions = s.Regions[:0]
-	for _, ri := range info {
-		s.Regions = append(s.Regions, *ri)
+	regions := s.Regions[:0]
+	if cap(regions) < n {
+		regions = make([]RegionInfo, 0, n)
 	}
-	sort.Slice(s.Regions, func(i, j int) bool { return s.Regions[i].ID < s.Regions[j].ID })
-	s.FinalRegions = len(s.Regions)
+	cur := -1
+	for i0 := 0; i0 < len(s.Labels); {
+		// [i0, i1) is a maximal run of one label in raster order.
+		lab := s.Labels[i0]
+		i1 := i0 + 1
+		for i1 < len(s.Labels) && s.Labels[i1] == lab {
+			i1++
+		}
+		if int(lab) == i0 {
+			regions = append(regions, RegionInfo{ID: lab, IV: homog.Empty()})
+			cur = len(regions) - 1
+		} else {
+			cur = findRegion(regions, cur, lab)
+		}
+		r := &regions[cur]
+		r.Area += i1 - i0
+		lo, hi := r.IV.Lo, r.IV.Hi
+		for _, v := range im.Pix[i0:i1] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		r.IV = homog.Interval{Lo: lo, Hi: hi}
+		i0 = i1
+	}
+	s.Regions = regions
+	s.FinalRegions = len(regions)
+}
+
+// findRegion returns the index of region lab in regions, which holds the
+// regions met so far in ascending ID order; from is the index of the
+// region met last, or -1. It panics if lab is not there, since then lab
+// is not an anchor.
+func findRegion(regions []RegionInfo, from int, lab int32) int {
+	// The next run along a row most often belongs to the next region.
+	if k := from + 1; k < len(regions) && regions[k].ID == lab {
+		return k
+	}
+	k, ok := slices.BinarySearchFunc(regions, lab, func(r RegionInfo, lab int32) int { return cmp.Compare(r.ID, lab) })
+	if !ok {
+		panic(fmt.Sprintf("core: label %d is not an anchor (the index of its region's first pixel)", lab))
+	}
+	return k
 }
 
 // EqualLabels reports whether two segmentations assign identical labels.

@@ -1,10 +1,11 @@
 package regstats
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -37,85 +38,155 @@ type Region struct {
 func (r *Region) IV() homog.Interval { return homog.Interval{Lo: r.Lo, Hi: r.Hi} }
 
 // Compute derives the statistics of every region of a labelled image,
-// returned in ascending ID order. It panics if labels does not match the
-// image geometry.
+// returned in ascending ID order.
+//
+// A label may be any region name in [0, W·H). The engines' labels are
+// anchors, each region's smallest linear pixel index, so every region is
+// first met in raster order at its own anchor and the regions come out in
+// ID order without a sort; other label rasters are sorted at the end.
+// Compute panics if labels does not match the image geometry or a label
+// lies outside [0, W·H).
 func Compute(im *pixmap.Image, labels []int32) []Region {
-	if len(labels) != im.W*im.H {
-		panic(fmt.Sprintf("regstats: %d labels for %dx%d image", len(labels), im.W, im.H))
+	w, h := im.W, im.H
+	n := w * h
+	if len(labels) != n {
+		panic(fmt.Sprintf("regstats: %d labels for %dx%d image", len(labels), w, h))
 	}
-	acc := make(map[int32]*Region)
-	sumX := make(map[int32]int64)
-	sumY := make(map[int32]int64)
-	sumV := make(map[int32]int64)
-	nbr := make(map[int32]map[int32]struct{})
-
-	get := func(lab int32, x, y int) *Region {
-		r, ok := acc[lab]
-		if !ok {
-			r = &Region{ID: lab, BBox: [4]int{x, y, x + 1, y + 1}, Lo: 255, Hi: 0}
-			acc[lab] = r
-			nbr[lab] = make(map[int32]struct{})
+	// slot[lab] is 1 + the dense number of region lab, 0 if no pixel
+	// carries lab. Dense numbers follow first appearance in raster order.
+	slot := make([]int32, n)
+	nreg := int32(0)
+	inOrder, last := true, int32(-1)
+	for i, lab := range labels {
+		if uint32(lab) >= uint32(n) {
+			panic(fmt.Sprintf("regstats: label %d at pixel %d outside [0, %d)", lab, i, n))
 		}
-		return r
+		if slot[lab] == 0 {
+			nreg++
+			slot[lab] = nreg
+			inOrder = inOrder && lab > last
+			last = lab
+		}
 	}
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := y*im.W + x
-			lab := labels[i]
-			r := get(lab, x, y)
-			r.Area++
-			v := im.Pix[i]
-			if v < r.Lo {
-				r.Lo = v
+	out := make([]Region, nreg)
+	sums := make([]struct{ x, y, v int64 }, nreg)
+	// pairs holds each adjacent pair of labels as lo<<32|hi, possibly more
+	// than once; it is sorted and compacted below. Its capacity is a guess
+	// that appends may outgrow.
+	pairs := make([]uint64, 0, 4*nreg)
+
+	for y := 0; y < h; y++ {
+		row := labels[y*w : (y+1)*w]
+		pix := im.Pix[y*w : (y+1)*w]
+		var above, below []int32
+		if y > 0 {
+			above = labels[(y-1)*w : y*w]
+		}
+		if y+1 < h {
+			below = labels[(y+1)*w : (y+2)*w]
+		}
+		// Scan the row as maximal runs [x0, x1) of one label.
+		for x0 := 0; x0 < w; {
+			lab := row[x0]
+			x1 := x0 + 1
+			for x1 < w && row[x1] == lab {
+				x1++
 			}
-			if v > r.Hi {
-				r.Hi = v
+			d := slot[lab] - 1
+			r, s := &out[d], &sums[d]
+			if r.Area == 0 {
+				r.ID = lab
+				r.BBox = [4]int{x0, y, x1, y + 1}
+				r.Lo = 255
 			}
-			if x < r.BBox[0] {
-				r.BBox[0] = x
+			runLen := x1 - x0
+			r.Area += runLen
+			r.BBox[0] = min(r.BBox[0], x0)
+			r.BBox[2] = max(r.BBox[2], x1)
+			r.BBox[3] = y + 1
+			s.x += int64(x0+x1-1) * int64(runLen) / 2
+			s.y += int64(y) * int64(runLen)
+			// A maximal run ends at the border or another region on both
+			// sides; the top and bottom rows border the image.
+			r.Perimeter += 2
+			if above == nil {
+				r.Perimeter += runLen
 			}
-			if y < r.BBox[1] {
-				r.BBox[1] = y
+			if below == nil {
+				r.Perimeter += runLen
 			}
-			if x+1 > r.BBox[2] {
-				r.BBox[2] = x + 1
-			}
-			if y+1 > r.BBox[3] {
-				r.BBox[3] = y + 1
-			}
-			sumX[lab] += int64(x)
-			sumY[lab] += int64(y)
-			sumV[lab] += int64(v)
-			// Perimeter and adjacency over the 4-neighbourhood.
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if !im.In(nx, ny) {
-					r.Perimeter++
+			lo, hi, sv := r.Lo, r.Hi, int64(0)
+			for x := x0; x < x1; x++ {
+				v := pix[x]
+				lo, hi, sv = min(lo, v), max(hi, v), sv+int64(v)
+				if below == nil {
 					continue
 				}
-				nl := labels[ny*im.W+nx]
-				if nl != lab {
+				// Each vertical boundary counts for both sides, once.
+				if nb := below[x]; nb != lab {
 					r.Perimeter++
-					nbr[lab][nl] = struct{}{}
+					out[slot[nb]-1].Perimeter++
+					if x == x0 || below[x-1] != nb {
+						pairs = append(pairs, pairKey(lab, nb))
+					}
 				}
 			}
+			r.Lo, r.Hi = lo, hi
+			s.v += sv
+			// The pair with the next run was already collected in the row
+			// above if that row has the same boundary.
+			if x1 < w {
+				nb := row[x1]
+				if above == nil || above[x1-1] != lab || above[x1] != nb {
+					pairs = append(pairs, pairKey(lab, nb))
+				}
+			}
+			x0 = x1
 		}
 	}
-	out := make([]Region, 0, len(acc))
-	for lab, r := range acc {
-		r.CentroidX = float64(sumX[lab]) / float64(r.Area)
-		r.CentroidY = float64(sumY[lab]) / float64(r.Area)
-		r.Mean = float64(sumV[lab]) / float64(r.Area)
-		ns := make([]int32, 0, len(nbr[lab]))
-		for n := range nbr[lab] {
-			ns = append(ns, n)
-		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		r.Neighbors = ns
-		out = append(out, *r)
+
+	// Sorted pairs hand every region its lower neighbours, then its higher
+	// ones, each in ascending order: the lists need no sort of their own.
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	deg := make([]int32, nreg)
+	for _, p := range pairs {
+		deg[slot[p>>32]-1]++
+		deg[slot[uint32(p)]-1]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	nbrs := make([]int32, 2*len(pairs))
+	off := 0
+	for d := range out {
+		k := int(deg[d])
+		out[d].Neighbors = nbrs[off : off : off+k]
+		off += k
+	}
+	for _, p := range pairs {
+		a, b := int32(p>>32), int32(uint32(p))
+		ra, rb := &out[slot[a]-1], &out[slot[b]-1]
+		ra.Neighbors = append(ra.Neighbors, b)
+		rb.Neighbors = append(rb.Neighbors, a)
+	}
+	for d := range out {
+		r, s := &out[d], sums[d]
+		area := float64(r.Area)
+		r.CentroidX = float64(s.x) / area
+		r.CentroidY = float64(s.y) / area
+		r.Mean = float64(s.v) / area
+	}
+	if !inOrder {
+		slices.SortFunc(out, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
+	}
 	return out
+}
+
+// pairKey packs an unordered pair of distinct labels as lo<<32 | hi, so
+// that sorting keys sorts pairs by (lo, hi).
+func pairKey(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // WriteJSON emits the region list as indented JSON.

@@ -283,20 +283,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			Seed:      req.cfg.Seed,
 			MaxSquare: req.cfg.MaxSquare,
 		},
-		Result: client.Result{
-			FinalRegions:      seg.FinalRegions,
-			SplitIterations:   seg.SplitIterations,
-			MergeIterations:   seg.MergeIterations,
-			SquaresAfterSplit: seg.SquaresAfterSplit,
-			SplitWallMs:       seg.SplitWall.Seconds() * 1e3,
-			MergeWallMs:       seg.MergeWall.Seconds() * 1e3,
-			SplitSimSecs:      seg.SplitSim,
-			MergeSimSecs:      seg.MergeSim,
-			Regions:           regiongrow.ComputeRegionStats(seg, req.im),
-		},
-	}
-	if req.labels {
-		resp.Result.Labels = seg.Labels
+		Result: *buildResult(seg, req.im, req.labels),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
