@@ -3,6 +3,8 @@ package mpengine
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -415,11 +417,13 @@ func (st *nodeState) mergeLoop() error {
 		anyActive := false
 		scanned := 0
 		for _, v := range st.ownedIDs {
-			if _, alive := st.adj[v]; !alive {
+			adj, alive := st.adj[v]
+			if !alive {
 				continue
 			}
-			//vet:ordered OR-reduction into a flag plus a count; both commute across iteration orders
-			for w := range st.adj[v] {
+			// The scan stops at the first active edge, so the charged count
+			// depends on visit order: scan neighbours in ascending ID.
+			for _, w := range slices.Sorted(maps.Keys(adj)) {
 				scanned++
 				if st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
 					anyActive = true

@@ -1,6 +1,7 @@
 package mpengine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -232,4 +233,36 @@ func TestUniformAndCheckerboard(t *testing.T) {
 	e := newEngine(t, machine.CM5_Async)
 	assertMatchesSequential(t, e, pixmap.Uniform(128, 7), core.Config{Threshold: 0})
 	assertMatchesSequential(t, e, pixmap.Checkerboard(128, 0, 255), core.Config{Threshold: 10})
+}
+
+// TestSimulatedTimesRepeat: the simulated clocks are a pure function of
+// image and configuration. Each paper image under LP and Async, run ten
+// times, gives bit-identical SplitSim and MergeSim. Two things used to
+// break this: the merge loop's activity scan stopped at the first active
+// edge while visiting neighbours in map order, and the async exchange
+// accepted messages in the Go scheduler's delivery order.
+func TestSimulatedTimesRepeat(t *testing.T) {
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
+	for _, mc := range []machine.ConfigID{machine.CM5_LP, machine.CM5_Async} {
+		e := newEngine(t, mc)
+		for _, id := range pixmap.AllPaperImages() {
+			im := pixmap.Generate(id, pixmap.DefaultGenOptions())
+			first, err := e.Segment(im, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 10; run++ {
+				seg, err := e.Segment(im, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(seg.SplitSim) != math.Float64bits(first.SplitSim) ||
+					math.Float64bits(seg.MergeSim) != math.Float64bits(first.MergeSim) {
+					t.Errorf("%v/%v run %d: sim times %v/%v, first run %v/%v",
+						mc, id, run, seg.SplitSim, seg.MergeSim, first.SplitSim, first.MergeSim)
+					break
+				}
+			}
+		}
+	}
 }

@@ -159,8 +159,15 @@ func (n *Node) Send(dst, tag int, data []int32) {
 // advances to at least the message's arrival time plus the receive
 // overhead.
 func (n *Node) Recv(src, tag int) Message {
+	m := n.receive(src, tag)
+	n.acceptClock(m)
+	return m
+}
+
+// receive blocks until a message matching (src, tag) is available and
+// returns it without touching the receiver's clock.
+func (n *Node) receive(src, tag int) Message {
 	if m, ok := n.takeQueued(src, tag); ok {
-		n.acceptClock(m)
 		return m
 	}
 	cl := n.cl
@@ -175,7 +182,6 @@ func (n *Node) Recv(src, tag int) Message {
 			cl.inboxes[n.Rank] = nil
 			cl.mu.Unlock()
 			if m, ok := n.takeQueued(src, tag); ok {
-				n.acceptClock(m)
 				return m
 			}
 			continue
@@ -392,7 +398,7 @@ func (n *Node) exchangeLP(out map[int][]int32, tag int) map[int][]int32 {
 
 // exchangeAsync implements the asynchronous scheme: direct sends of
 // non-empty payloads; receivers learn their expected senders from a cheap
-// flag concatenation and receive in arrival order.
+// flag concatenation and receive in simulated arrival order.
 func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 	q := n.cl.Q
 	row := make([]int32, q)
@@ -425,8 +431,22 @@ func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 			expected++
 		}
 	}
-	for got := 0; got < expected; got++ {
-		m := n.Recv(-1, tag)
+	// Collect every expected message first, then accept them in
+	// (simulated arrival, source rank) order: the order in which the Go
+	// scheduler delivers them is not simulated time, and the clock update
+	// max(arrive, clock)+cost does not commute.
+	msgs := make([]Message, expected)
+	for i := range msgs {
+		msgs[i] = n.receive(-1, tag)
+	}
+	sort.Slice(msgs, func(i, j int) bool {
+		if msgs[i].arrive != msgs[j].arrive {
+			return msgs[i].arrive < msgs[j].arrive
+		}
+		return msgs[i].Src < msgs[j].Src
+	})
+	for _, m := range msgs {
+		n.acceptClock(m)
 		recv[m.Src] = m.Data
 	}
 	return recv
