@@ -3,9 +3,14 @@ package distengine
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/pixmap"
@@ -164,6 +169,117 @@ func TestWireByteStability(t *testing.T) {
 					t.Errorf("worker %d %s frame %d (type %d): payloads differ between runs", w, dir, i, a[i].t)
 				}
 			}
+		}
+	}
+}
+
+// hashConn hashes the protocol frames one worker connection carries, per
+// direction: type byte, big-endian payload length, payload. Liveness
+// frames are skipped (their count depends on timing) and the result
+// frame's wall-clock field is masked.
+type hashConn struct {
+	transport.Conn
+	mu      sync.Mutex
+	in, out hash.Hash // coordinator → worker, worker → coordinator
+}
+
+func (c *hashConn) add(h hash.Hash, f transport.Frame) {
+	if t := frameType(f.Type); t == framePing || t == framePong {
+		return
+	}
+	p := f.Payload
+	if frameType(f.Type) == frameResult {
+		p = maskWall(p)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h.Write([]byte{f.Type})
+	h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(p))))
+	h.Write(p)
+}
+
+func (c *hashConn) Send(f transport.Frame, timeout time.Duration) error {
+	err := c.Conn.Send(f, timeout)
+	if err == nil {
+		c.add(c.out, f)
+	}
+	return err
+}
+
+func (c *hashConn) Recv(timeout time.Duration) (transport.Frame, error) {
+	f, err := c.Conn.Recv(timeout)
+	if err == nil {
+		c.add(c.in, f)
+	}
+	return f, err
+}
+
+// hashListener wraps every accepted connection in a hashConn.
+type hashListener struct {
+	transport.Listener
+	conn chan *hashConn
+}
+
+func (l *hashListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	hc := &hashConn{Conn: c, in: sha256.New(), out: sha256.New()}
+	l.conn <- hc
+	return hc, nil
+}
+
+// TestFrameStreamPins pins, across commits, the exact frames one fixed
+// 3-worker job puts on every worker connection in both directions: the
+// suitor, merge-event and handover payloads, their order, and the result
+// frames. TestWireByteStability compares two runs of one build; this test
+// compares every build with the recorded digests.
+func TestFrameStreamPins(t *testing.T) {
+	want := []struct{ in, out string }{
+		{"e68c146227d455742906ac056823db896b227827731678d8ede43364dfe3f529", "e7352438432713b4a76390eab4bba6c00ef3b216985d9774c99aa52dbfc5be64"},
+		{"8ae80bd7233bff6fdb568de2c0c1a223fddb0a371fa081aff27a35ce36801354", "295704431aedc47e2c2fc7d06d2f84a037171a3ca1d7d29145d0aa19a21e90a8"},
+		{"5367bde827218a93116d479554f14139e7b187ef47263e0ef36e4c78de4a495e", "3aaa13b32d2c0e6461f6ebd0a4de7d7e9645b9717bdf7e6eb8127a2e5e00fb4e"},
+	}
+	mem := transport.NewMem()
+	addrs := make([]string, len(want))
+	taps := make([]*hashListener, len(want))
+	var wg sync.WaitGroup
+	for i := range want {
+		l, err := mem.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		taps[i] = &hashListener{Listener: l, conn: make(chan *hashConn, 1)}
+		addrs[i] = l.Addr()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ServeWorker(taps[i])
+		}()
+	}
+	defer wg.Wait()
+	defer func() {
+		for _, tl := range taps {
+			tl.Close()
+		}
+	}()
+
+	im := pixmap.Generate(pixmap.Image6Tool256, pixmap.DefaultGenOptions())
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
+	if _, err := NewOver(mem, addrs).Segment(im, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for w, tl := range taps {
+		c := <-tl.conn
+		c.mu.Lock()
+		in, out := hex.EncodeToString(c.in.Sum(nil)), hex.EncodeToString(c.out.Sum(nil))
+		c.mu.Unlock()
+		if in != want[w].in {
+			t.Errorf("worker %d coordinator→worker frames: sha256 %s, want %s", w, in, want[w].in)
+		}
+		if out != want[w].out {
+			t.Errorf("worker %d worker→coordinator frames: sha256 %s, want %s", w, out, want[w].out)
 		}
 	}
 }

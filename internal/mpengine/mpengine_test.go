@@ -266,3 +266,42 @@ func TestSimulatedTimesRepeat(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperTablePins pins what the paper tables report for the CM-5
+// message-passing rows: communication counters and simulated split and
+// merge times, bit for bit, for all six paper images under LP and Async.
+// A change that moves any of them changes the tables and must say why.
+func TestPaperTablePins(t *testing.T) {
+	cases := []struct {
+		mc              machine.ConfigID
+		id              pixmap.PaperImageID
+		comm            core.CommStats
+		splitSim, merge float64
+	}{
+		{machine.CM5_LP, pixmap.Image1NestedRects128, core.CommStats{Messages: 61608, Words: 13583, Barriers: 319, Gathers: 2976, Reduces: 1088, LPSteps: 61504, Exchanges: 1984}, 0.02233606399999999, 9.125968208000113},
+		{machine.CM5_LP, pixmap.Image2Rects128, core.CommStats{Messages: 33832, Words: 10885, Barriers: 179, Gathers: 1632, Reduces: 640, LPSteps: 33728, Exchanges: 1088}, 0.02233606399999999, 5.002847568000099},
+		{machine.CM5_LP, pixmap.Image3Circles128, core.CommStats{Messages: 87400, Words: 19538, Barriers: 449, Gathers: 4224, Reduces: 1504, LPSteps: 87296, Exchanges: 2816}, 0.02233606399999999, 12.978624479998789},
+		{machine.CM5_LP, pixmap.Image4NestedRects256, core.CommStats{Messages: 83432, Words: 23165, Barriers: 429, Gathers: 4032, Reduces: 1440, LPSteps: 83328, Exchanges: 2688}, 0.09812031999999996, 18.259536903997883},
+		{machine.CM5_LP, pixmap.Image5Rects256, core.CommStats{Messages: 39784, Words: 18705, Barriers: 209, Gathers: 1920, Reduces: 736, LPSteps: 39680, Exchanges: 1280}, 0.09812031999999996, 8.689631028000171},
+		{machine.CM5_LP, pixmap.Image6Tool256, core.CommStats{Messages: 65576, Words: 24150, Barriers: 339, Gathers: 3168, Reduces: 1152, LPSteps: 65472, Exchanges: 2112}, 0.09812031999999996, 14.405216079998933},
+		{machine.CM5_Async, pixmap.Image1NestedRects128, core.CommStats{Messages: 1374, Words: 13583, Barriers: 257, Gathers: 2976, Reduces: 1088, LPSteps: 0, Exchanges: 1984}, 0.02233606399999999, 4.388156655999988},
+		{machine.CM5_Async, pixmap.Image2Rects128, core.CommStats{Messages: 747, Words: 10885, Barriers: 145, Gathers: 1632, Reduces: 640, LPSteps: 0, Exchanges: 1088}, 0.02233606399999999, 2.3881265279999924},
+		{machine.CM5_Async, pixmap.Image3Circles128, core.CommStats{Messages: 2485, Words: 19538, Barriers: 361, Gathers: 4224, Reduces: 1504, LPSteps: 0, Exchanges: 2816}, 0.02233606399999999, 6.252140523999966},
+		{machine.CM5_Async, pixmap.Image4NestedRects256, core.CommStats{Messages: 1706, Words: 23165, Barriers: 345, Gathers: 4032, Reduces: 1440, LPSteps: 0, Exchanges: 2688}, 0.09812031999999996, 11.85109179600006},
+		{machine.CM5_Async, pixmap.Image5Rects256, core.CommStats{Messages: 788, Words: 18705, Barriers: 169, Gathers: 1920, Reduces: 736, LPSteps: 0, Exchanges: 1280}, 0.09812031999999996, 5.60621307999999},
+		{machine.CM5_Async, pixmap.Image6Tool256, core.CommStats{Messages: 1495, Words: 24150, Barriers: 273, Gathers: 3168, Reduces: 1152, LPSteps: 0, Exchanges: 2112}, 0.09812031999999996, 9.391433679999995},
+	}
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
+	for _, c := range cases {
+		seg, err := newEngine(t, c.mc).Segment(pixmap.Generate(c.id, pixmap.DefaultGenOptions()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *seg.Comm != c.comm {
+			t.Errorf("%v/%v: comm %+v, want %+v", c.mc, c.id, *seg.Comm, c.comm)
+		}
+		if seg.SplitSim != c.splitSim || seg.MergeSim != c.merge {
+			t.Errorf("%v/%v: sim %v/%v, want %v/%v", c.mc, c.id, seg.SplitSim, seg.MergeSim, c.splitSim, c.merge)
+		}
+	}
+}
