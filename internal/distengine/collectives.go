@@ -2,6 +2,7 @@ package distengine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -13,7 +14,6 @@ type roundKind int
 const (
 	roundReduceMax roundKind = iota + 1
 	roundReduceSum
-	roundBarrier
 	roundGather
 	roundExchange
 )
@@ -24,8 +24,6 @@ func (k roundKind) String() string {
 		return "all-reduce-max"
 	case roundReduceSum:
 		return "all-reduce-sum"
-	case roundBarrier:
-		return "barrier"
 	case roundGather:
 		return "all-gather"
 	case roundExchange:
@@ -149,27 +147,13 @@ func (c *collective) sync(rank int, kind roundKind, seq uint32, val int64, paylo
 func (r *round) finish(n int) {
 	switch r.kind {
 	case roundReduceMax:
-		r.val = r.vals[0]
-		for _, v := range r.vals[1:] {
-			if v > r.val {
-				r.val = v
-			}
-		}
+		r.val = slices.Max(r.vals)
 	case roundReduceSum:
 		for _, v := range r.vals {
 			r.val += v
 		}
-	case roundBarrier:
-		// Pure rendezvous.
 	case roundGather:
-		total := 0
-		for _, d := range r.data {
-			total += len(d)
-		}
-		r.gather = make([]int32, 0, total)
-		for _, d := range r.data {
-			r.gather = append(r.gather, d...)
-		}
+		r.gather = slices.Concat(r.data...)
 	case roundExchange:
 		r.route = make([][]int32, n)
 		for src := 0; src < n; src++ {

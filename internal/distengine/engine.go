@@ -191,10 +191,6 @@ func (e *Engine) RemoveMember(addr string) bool {
 	return false
 }
 
-// Addrs returns the configured worker addresses (alias of Members, kept
-// for the original fixed-membership API).
-func (e *Engine) Addrs() []string { return e.Members() }
-
 // MemberHealth is one member's probe outcome.
 type MemberHealth struct {
 	Addr    string
@@ -263,7 +259,6 @@ func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation,
 type commCounters struct {
 	messages, words             atomic.Int64
 	reduces, gathers, exchanges atomic.Int64
-	barriers                    atomic.Int64
 }
 
 // SegmentContext implements core.ContextEngine. Cancelling ctx sends an
@@ -463,7 +458,6 @@ func (e *Engine) runJob(ctx context.Context, tun Tuning, addrs []string, im *pix
 		Comm: &core.CommStats{
 			Messages:  comm.messages.Load(),
 			Words:     comm.words.Load(),
-			Barriers:  comm.barriers.Load(),
 			Gathers:   comm.gathers.Load(),
 			Reduces:   comm.reduces.Load(),
 			Exchanges: comm.exchanges.Load(),
@@ -567,16 +561,12 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 			switch op[0] {
 			case opMax:
 				kind = roundReduceMax
-				comm.reduces.Add(1)
 			case opSum:
 				kind = roundReduceSum
-				comm.reduces.Add(1)
-			case opBarrier:
-				kind = roundBarrier
-				comm.barriers.Add(1)
 			default:
 				return fmt.Errorf("distengine: worker %d: unknown reduce op %d", rank, op[0])
 			}
+			comm.reduces.Add(1)
 			r, err := coll.sync(rank, kind, seq, val, nil)
 			if err != nil {
 				return syncErr(coll, err)
@@ -632,14 +622,7 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 				return fmt.Errorf("distengine: worker %d: malformed event", rank)
 			}
 			if rank == 0 {
-				run.Emit(core.StageEvent{
-					Kind:       core.EventKind(ev.Kind),
-					Iteration:  int(ev.Iteration),
-					Merges:     int(ev.Merges),
-					Iterations: int(ev.Iterations),
-					Squares:    int(ev.Squares),
-					Regions:    int(ev.Regions),
-				})
+				run.Emit(ev)
 			}
 		case frameResult:
 			res, err := decodeWorkerResult(payload)

@@ -8,11 +8,13 @@ package distengine_test
 
 import (
 	"testing"
+	"testing/quick"
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/distengine"
 	"regiongrow/internal/distengine/disttest"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 	"regiongrow/internal/rag"
 	"regiongrow/internal/transport"
 )
@@ -73,5 +75,54 @@ func TestInProcWorkerCounts(t *testing.T) {
 		if !got.EqualLabels(want) {
 			t.Errorf("%d workers: in-proc labels differ from sequential", n)
 		}
+	}
+}
+
+// TestInProcRandomImages: on 1–5 workers over the Mem transport, labels
+// are byte-identical to sequential on random images of arbitrary size —
+// non-powers-of-two, single rows and single columns — at random
+// thresholds, tie policies, seeds and square caps.
+func TestInProcRandomImages(t *testing.T) {
+	mem := transport.NewMem()
+	addrs := disttest.StartClusterOver(t, mem, 5)
+	caps := []int{0, 1, 2, 4, 8}
+	err := quick.Check(func(seed uint64, wRaw, hRaw, shape, workers, tRaw, tieRaw, capRaw uint8) bool {
+		w, h := 1+int(wRaw)%70, 1+int(hRaw)%70
+		switch shape % 4 {
+		case 0:
+			h = 1
+		case 1:
+			w = 1
+		}
+		im := pixmap.New(w, h)
+		for i := range im.Pix {
+			// Runs of three equal pixels, so squares and merges form.
+			im.Pix[i] = uint8(prand.Hash2(seed, uint64(i/3)) % 64)
+		}
+		cfg := core.Config{
+			Threshold: int(tRaw % 40),
+			Tie:       rag.AllTiePolicies()[int(tieRaw)%3],
+			Seed:      seed,
+			MaxSquare: caps[int(capRaw)%len(caps)],
+		}
+		want, err := core.Sequential{}.Segment(im, cfg)
+		if err != nil {
+			t.Logf("%dx%d %+v sequential: %v", w, h, cfg, err)
+			return false
+		}
+		n := 1 + int(workers)%5
+		got, err := distengine.NewOver(mem, addrs[:n]).Segment(im, cfg)
+		if err != nil {
+			t.Logf("%dx%d on %d workers %+v: %v", w, h, n, cfg, err)
+			return false
+		}
+		if !got.EqualLabels(want) {
+			t.Logf("%dx%d on %d workers %+v: labels differ from sequential", w, h, n, cfg)
+			return false
+		}
+		return true
+	}, &quick.Config{MaxCount: 300})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

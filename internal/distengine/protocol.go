@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"regiongrow/internal/core"
 	"regiongrow/internal/transport"
 )
 
@@ -81,8 +82,6 @@ const (
 const (
 	opMax byte = iota + 1
 	opSum
-	// opBarrier is a pure rendezvous: the combined value is always zero.
-	opBarrier
 )
 
 // Frame transport (length-prefixed type+payload framing, the MaxFrame
@@ -306,24 +305,21 @@ func decodeWorkerResult(p []byte) (*workerResult, error) {
 	return r, nil
 }
 
-// event is the decoded frameEvent payload — a flattened core.StageEvent.
-type event struct {
-	Kind, Iteration, Merges, Iterations, Squares, Regions int32
-}
-
-func (ev event) encode() []byte {
+// encodeEvent flattens a stage event into a frameEvent payload: its six
+// fields as int32s, in declaration order.
+func encodeEvent(ev core.StageEvent) []byte {
 	var e enc
-	for _, v := range [...]int32{ev.Kind, ev.Iteration, ev.Merges, ev.Iterations, ev.Squares, ev.Regions} {
-		e.i32(v)
+	for _, v := range [...]int{int(ev.Kind), ev.Iteration, ev.Merges, ev.Iterations, ev.Squares, ev.Regions} {
+		e.i32(int32(v))
 	}
 	return e.b
 }
 
-func decodeEvent(p []byte) (event, error) {
+func decodeEvent(p []byte) (core.StageEvent, error) {
 	d := dec{b: p}
-	ev := event{
-		Kind: d.i32(), Iteration: d.i32(), Merges: d.i32(),
-		Iterations: d.i32(), Squares: d.i32(), Regions: d.i32(),
+	ev := core.StageEvent{
+		Kind: core.EventKind(d.i32()), Iteration: int(d.i32()), Merges: int(d.i32()),
+		Iterations: int(d.i32()), Squares: int(d.i32()), Regions: int(d.i32()),
 	}
 	return ev, d.err
 }

@@ -36,12 +36,14 @@ func (t *tapConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write records p before forwarding it: once the coordinator has read
+// the worker's result frame, Segment returns and the test reads the
+// buffer, possibly before a record made after the write.
 func (t *tapConn) Write(p []byte) (int, error) {
-	n, err := t.Conn.Write(p)
 	t.mu.Lock()
-	t.out.Write(p[:n])
+	t.out.Write(p)
 	t.mu.Unlock()
-	return n, err
+	return t.Conn.Write(p)
 }
 
 // tapListener wraps a worker listener, tapping every accepted connection
@@ -198,12 +200,10 @@ func (c *hashConn) add(h hash.Hash, f transport.Frame) {
 	h.Write(p)
 }
 
+// Send records f before sending it, for the reason tapConn.Write does.
 func (c *hashConn) Send(f transport.Frame, timeout time.Duration) error {
-	err := c.Conn.Send(f, timeout)
-	if err == nil {
-		c.add(c.out, f)
-	}
-	return err
+	c.add(c.out, f)
+	return c.Conn.Send(f, timeout)
 }
 
 func (c *hashConn) Recv(timeout time.Duration) (transport.Frame, error) {

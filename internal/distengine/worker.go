@@ -3,13 +3,15 @@ package distengine
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"regiongrow/internal/homog"
+	"regiongrow/internal/core"
+	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/pixmap"
-	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
 	"regiongrow/internal/transport"
 )
@@ -188,34 +190,27 @@ func (l *link) roundTrip(t frameType, payload []byte, want frameType) ([]byte, e
 	}
 }
 
-func (l *link) reduce(op byte, val int64) (int64, error) {
+func (l *link) reduce(op byte, val int) (int, error) {
 	l.seq++
 	var e enc
 	e.b = append(e.b, op)
 	e.u32(l.seq)
-	e.i64(val)
+	e.i64(int64(val))
 	resp, err := l.roundTrip(frameReduce, e.b, frameReduceResult)
 	if err != nil {
 		return 0, err
 	}
 	d := dec{b: resp}
 	v := d.i64()
-	return v, d.err
+	return int(v), d.err
 }
 
-func (l *link) allReduceMax(val int) (int, error) {
-	v, err := l.reduce(opMax, int64(val))
-	return int(v), err
-}
+func (l *link) AllReduceMax(val int) (int, error) { return l.reduce(opMax, val) }
+func (l *link) AllReduceSum(val int) (int, error) { return l.reduce(opSum, val) }
 
-func (l *link) allReduceSum(val int) (int, error) {
-	v, err := l.reduce(opSum, int64(val))
-	return int(v), err
-}
-
-// allGather contributes data and returns the rank-order concatenation of
+// AllGather contributes data and returns the rank-order concatenation of
 // every rank's contribution.
-func (l *link) allGather(data []int32) ([]int32, error) {
+func (l *link) AllGather(data []int32) ([]int32, error) {
 	l.seq++
 	var e enc
 	e.u32(l.seq)
@@ -231,16 +226,11 @@ func (l *link) allGather(data []int32) ([]int32, error) {
 
 // exchange routes outbound[r] to each rank r and returns the payloads
 // addressed to this rank as (src, data) pairs in ascending source order.
-func (l *link) exchange(outbound map[int][]int32) (srcs []int32, datas [][]int32, err error) {
+func (l *link) exchange(outbound map[int][]int32) (srcs []int, datas [][]int32, err error) {
 	l.seq++
 	var e enc
 	e.u32(l.seq)
-	dests := make([]int, 0, len(outbound))
-	for d := range outbound {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, dst := range dests {
+	for _, dst := range slices.Sorted(maps.Keys(outbound)) {
 		e.i32(int32(dst))
 		e.i32s(outbound[dst])
 	}
@@ -261,516 +251,93 @@ func (l *link) exchange(outbound map[int][]int32) (srcs []int32, datas [][]int32
 		if g.err != nil {
 			return nil, nil, g.err
 		}
-		srcs = append(srcs, src)
+		srcs = append(srcs, int(src))
 		datas = append(datas, data)
 	}
 	return srcs, datas, nil
 }
 
-// sendEvent streams one stage event to the coordinator (fire-and-forget;
-// only rank 0 calls it).
-func (l *link) sendEvent(ev event) error {
-	if err := l.send(frameEvent, ev.encode()); err != nil {
+// bandComm is a worker's coordinator link as the node program's channel.
+// Communication costs are real here, so Charge does nothing; rank 0
+// streams the stage events to the coordinator (fire-and-forget).
+type bandComm struct {
+	*link
+	j         *job
+	start     time.Time
+	splitWall time.Duration
+}
+
+func (b *bandComm) Rank() int { return b.j.Rank }
+
+func (b *bandComm) Exchange(out map[int][]int32) ([][]int32, error) {
+	_, data, err := b.exchange(out)
+	return data, err
+}
+
+func (b *bandComm) Stage(ev core.StageEvent) error {
+	if ev.Kind == core.EventSplitDone {
+		b.splitWall = time.Since(b.start) //vet:timing stage wall-time for Stats; never reaches labels or frames
+	}
+	if b.j.Rank == 0 && b.send(frameEvent, encodeEvent(ev)) != nil {
 		return errAborted
 	}
 	return nil
 }
 
-// bandState is the per-worker program state: the band algorithm is the
-// paper's message-passing node program (the one internal/mpengine runs on
-// 32 simulated nodes) specialised to a 1-D decomposition into horizontal
-// bands and executed over real sockets.
-type bandState struct {
-	j    *job
-	lk   *link
-	crit homog.Criterion
-	tie  rag.TiePolicy
+func (b *bandComm) Charge(nodeprog.Cost) {}
 
-	y0, y1 int
-	rows   int
-	labels []int32 // band labels carrying global region IDs, rows×W
-
-	localIters int
-	splitIters int
-	numSquares int
-
-	ownedIDs []int32                      // owned vertex IDs, ascending
-	iv       map[int32]homog.Interval     // intervals of every known vertex
-	adj      map[int32]map[int32]struct{} // adjacency of owned vertices
-
-	asg   *rag.Assignments
-	stats rag.MergeStats
-}
-
-// runBand executes one job: local split, boundary graph stitch, the
-// distributed merge loop, and the band relabel.
+// runBand runs the node program on the job's band: the paper's
+// message-passing program over a 1-D decomposition into horizontal bands,
+// whose boundary strips go to the bands above and below in one exchange.
 func runBand(j *job, lk *link) (*workerResult, error) {
-	st := &bandState{
-		j: j, lk: lk,
-		crit: homog.NewRange(j.Threshold),
-		tie:  rag.TiePolicy(j.Tie),
-		y0:   j.BandStarts[j.Rank],
-		y1:   j.BandStarts[j.Rank+1],
+	bc := &bandComm{link: lk, j: j, start: time.Now()} //vet:timing stage wall-time for Stats; never reaches labels or frames
+	y0, rows := j.BandStarts[j.Rank], j.BandStarts[j.Rank+1]-j.BandStarts[j.Rank]
+	var nbs []nodeprog.Neighbour
+	if j.Rank > 0 && rows > 0 {
+		nbs = append(nbs, nodeprog.Neighbour{Rank: j.Rank - 1, Side: nodeprog.North})
 	}
-	st.rows = st.y1 - st.y0
-
-	tSplit := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or frames
-	st.splitLocal()
-	red, err := lk.allReduceMax(st.localIters)
+	if j.Rank < j.Workers-1 && rows > 0 {
+		nbs = append(nbs, nodeprog.Neighbour{Rank: j.Rank + 1, Side: nodeprog.South})
+	}
+	geo := nodeprog.Geometry{
+		W: j.W, Y0: y0,
+		// The owner is the band containing the anchor pixel's row.
+		Owner: func(id int32) int {
+			row := int(id) / j.W
+			return sort.Search(j.Workers, func(r int) bool { return j.BandStarts[r+1] > row })
+		},
+		Neighbours: nbs,
+		Trade: func(out [][]int32) ([]int, [][]int32, error) {
+			routed := make(map[int][]int32, len(nbs))
+			for i, nb := range nbs {
+				routed[nb.Rank] = out[i]
+			}
+			return lk.exchange(routed)
+		},
+	}
+	// Band boundaries are multiples of the cap the coordinator resolved
+	// against the full image, so no square of the global split crosses
+	// one: the band's own split is the global split within the band. (The
+	// split may legally re-resolve the cap smaller, which happens exactly
+	// when it exceeds the band's own dimensions, e.g. a narrow image's
+	// short final band; no feasible square reaches either value.)
+	tile := &pixmap.Image{W: j.W, H: rows, Pix: j.Pix}
+	cfg := core.Config{Threshold: j.Threshold, Tie: rag.TiePolicy(j.Tie), Seed: j.Seed, MaxSquare: j.Cap}
+	res, err := nodeprog.Run(bc, geo, tile, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.splitIters = red
-	if st.numSquares, err = lk.allReduceSum(len(st.ownedIDs)); err != nil {
-		return nil, err
+	out := &workerResult{
+		SplitIterations: res.SplitIterations,
+		MergeIterations: res.Merge.Iterations,
+		Squares:         res.Squares,
+		Forced:          res.Merge.ForcedResolutions,
+		SplitWallNanos:  bc.splitWall.Nanoseconds(),
+		MergesPerIter:   make([]int32, len(res.Merge.MergesPerIter)),
+		Labels:          res.Labels,
 	}
-	splitWall := time.Since(tSplit) //vet:timing stage wall-time for Stats; never reaches labels or frames
-	if j.Rank == 0 {
-		if err := lk.sendEvent(event{Kind: evSplitDone, Iterations: int32(st.splitIters), Squares: int32(st.numSquares)}); err != nil {
-			return nil, err
-		}
+	for i, m := range res.Merge.MergesPerIter {
+		out.MergesPerIter[i] = int32(m)
 	}
-
-	if err := st.buildGraph(); err != nil {
-		return nil, err
-	}
-	if j.Rank == 0 {
-		if err := lk.sendEvent(event{Kind: evGraphDone, Squares: int32(st.numSquares)}); err != nil {
-			return nil, err
-		}
-	}
-	if err := st.mergeLoop(); err != nil {
-		return nil, err
-	}
-
-	res := &workerResult{
-		SplitIterations: st.splitIters,
-		MergeIterations: st.stats.Iterations,
-		Squares:         st.numSquares,
-		Forced:          st.stats.ForcedResolutions,
-		SplitWallNanos:  splitWall.Nanoseconds(),
-		Labels:          st.writeLabels(),
-	}
-	res.MergesPerIter = make([]int32, len(st.stats.MergesPerIter))
-	for i, m := range st.stats.MergesPerIter {
-		res.MergesPerIter[i] = int32(m)
-	}
-	return res, nil
-}
-
-// owner returns the rank owning vertex id: the band containing its anchor
-// pixel's row.
-func (st *bandState) owner(id int32) int {
-	row := int(id) / st.j.W
-	// BandStarts is ascending; find r with BandStarts[r] <= row < BandStarts[r+1].
-	r := sort.Search(st.j.Workers, func(r int) bool { return st.j.BandStarts[r+1] > row })
-	return r
-}
-
-// splitLocal splits the band independently. Band boundaries are multiples
-// of the effective cap, and every split square is cap-aligned with side ≤
-// cap, so no square of the global split crosses a band boundary: the local
-// split produces exactly the global split's squares within the band.
-func (st *bandState) splitLocal() {
-	w := st.j.W
-	sub := &pixmap.Image{W: w, H: st.rows, Pix: st.j.Pix}
-	// The cap was resolved by the coordinator against the full image. The
-	// band may legally re-resolve it smaller — that happens exactly when
-	// the cap exceeds the band's own dimensions (e.g. a narrow image's
-	// short final band), where no feasible square can reach either value,
-	// so the local split still equals the global split within the band.
-	res := quadsplit.Split(sub, st.crit, quadsplit.Options{MaxSquare: st.j.Cap})
-	st.localIters = res.Iterations
-
-	// Owned vertices and their intervals (Squares needs the band-local
-	// labels, so enumerate before globalising them below).
-	st.iv = make(map[int32]homog.Interval)
-	st.adj = make(map[int32]map[int32]struct{})
-	for _, sq := range res.Squares(sub) {
-		gid := int32((st.y0+sq.Y)*w + sq.X)
-		st.iv[gid] = sq.IV
-		st.adj[gid] = make(map[int32]struct{})
-		st.ownedIDs = append(st.ownedIDs, gid)
-	}
-
-	// Band-local labels are anchor indices in the band; shift rows by y0 to
-	// make them global region IDs (the band spans full image width).
-	off := int32(st.y0 * w)
-	st.labels = res.Labels
-	for i := range st.labels {
-		st.labels[i] += off
-	}
-	sort.Slice(st.ownedIDs, func(i, j int) bool { return st.ownedIDs[i] < st.ownedIDs[j] })
-}
-
-// buildGraph records the band's internal edges, then exchanges boundary
-// RAG rows (per-pixel label + interval strips) with the neighbouring bands
-// and stitches the crossing edges.
-func (st *bandState) buildGraph() error {
-	w := st.j.W
-	for ly := 0; ly < st.rows; ly++ {
-		row := ly * w
-		for lx := 0; lx < w; lx++ {
-			a := st.labels[row+lx]
-			if lx+1 < w {
-				if b := st.labels[row+lx+1]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-			if ly+1 < st.rows {
-				if b := st.labels[row+w+lx]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-		}
-	}
-
-	// Boundary strips to the neighbours: (id, lo, hi) per border pixel.
-	outbound := make(map[int][]int32)
-	strip := func(row int) []int32 {
-		out := make([]int32, 0, 3*w)
-		for lx := 0; lx < w; lx++ {
-			id := st.labels[row*w+lx]
-			iv := st.iv[id]
-			out = append(out, id, int32(iv.Lo), int32(iv.Hi))
-		}
-		return out
-	}
-	if st.j.Rank > 0 && st.rows > 0 {
-		outbound[st.j.Rank-1] = strip(0)
-	}
-	if st.j.Rank < st.j.Workers-1 && st.rows > 0 {
-		outbound[st.j.Rank+1] = strip(st.rows - 1)
-	}
-	srcs, datas, err := st.lk.exchange(outbound)
-	if err != nil {
-		return err
-	}
-	for i, src := range srcs {
-		data := datas[i]
-		if len(data) != 3*w {
-			return fmt.Errorf("distengine: boundary strip of %d values from rank %d, want %d", len(data), src, 3*w)
-		}
-		var myRow int
-		switch int(src) {
-		case st.j.Rank - 1:
-			myRow = 0
-		case st.j.Rank + 1:
-			myRow = st.rows - 1
-		default:
-			return fmt.Errorf("distengine: boundary strip from non-neighbour rank %d", src)
-		}
-		for lx := 0; lx < w; lx++ {
-			myID := st.labels[myRow*w+lx]
-			theirID := data[3*lx]
-			theirIV := homog.Interval{Lo: uint8(data[3*lx+1]), Hi: uint8(data[3*lx+2])}
-			if _, ok := st.iv[theirID]; !ok {
-				st.iv[theirID] = theirIV
-			}
-			if myID != theirID {
-				st.addEdge(myID, theirID)
-			}
-		}
-	}
-	return nil
-}
-
-// addEdge records adjacency on whichever endpoints this worker owns.
-func (st *bandState) addEdge(a, b int32) {
-	if s, ok := st.adj[a]; ok {
-		s[b] = struct{}{}
-	}
-	if s, ok := st.adj[b]; ok {
-		s[a] = struct{}{}
-	}
-}
-
-// mergeLoop runs the distributed merge rounds until no active edge remains
-// anywhere. The loop-head all-reduce doubles as the abort rendezvous: a
-// coordinator cancel surfaces as errAborted from whichever collective is
-// pending, so every worker leaves within one iteration.
-func (st *bandState) mergeLoop() error {
-	st.asg = rag.NewAssignments()
-	stalls := 0
-	for {
-		anyActive := 0
-		for _, v := range st.ownedIDs {
-			adj, alive := st.adj[v]
-			if !alive {
-				continue
-			}
-			//vet:ordered OR-reduction into a flag commutes across iteration orders
-			for w := range adj {
-				if st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-					anyActive = 1
-					break
-				}
-			}
-			if anyActive == 1 {
-				break
-			}
-		}
-		red, err := st.lk.allReduceMax(anyActive)
-		if err != nil {
-			return err
-		}
-		if red == 0 {
-			return nil
-		}
-		st.stats.Iterations++
-		policy := st.tie
-		if policy == rag.Random && stalls >= 3 {
-			policy = rag.SmallestID
-			st.stats.ForcedResolutions++
-			stalls = 0
-		}
-		merged, err := st.mergeIteration(policy)
-		if err != nil {
-			return err
-		}
-		st.stats.MergesPerIter = append(st.stats.MergesPerIter, merged)
-		if merged == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
-	}
-}
-
-// mergeIteration runs one choice/merge/update round and returns the global
-// number of merges. It is the band-decomposed twin of the mpengine node
-// program's round: choices for owned vertices, choice routing to the
-// chosen vertex's owner, mutual-pair detection, a global all-gather of
-// merge events, adjacency relabel, and loser-adjacency handover.
-func (st *bandState) mergeIteration(policy rag.TiePolicy) (int, error) {
-	iter := st.stats.Iterations
-
-	// Choices for owned, alive vertices (rag.PickTied keeps the tie
-	// semantics byte-identical to every other engine).
-	choice := make(map[int32]int32)
-	var tied []int32
-	for _, v := range st.ownedIDs {
-		adj, alive := st.adj[v]
-		if !alive {
-			continue
-		}
-		bestW := -1
-		tied = tied[:0]
-		//vet:ordered min-reduction; the tie list is sorted inside rag.PickTied before any order-dependent use
-		for w := range adj {
-			if !st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-				continue
-			}
-			wt := homog.Weight(st.iv[v], st.iv[w])
-			switch {
-			case bestW < 0 || wt < bestW:
-				bestW = wt
-				tied = tied[:0]
-				tied = append(tied, w)
-			case wt == bestW:
-				tied = append(tied, w)
-			}
-		}
-		if bestW >= 0 {
-			choice[v] = rag.PickTied(tied, policy, st.j.Seed, iter, v)
-		}
-	}
-
-	// Route each choice (v, w) to owner(w) so mutual pairs are detectable
-	// on both sides. Iterate owned IDs, not the choice map: outbound
-	// payloads are wire bytes, and the protocol promises byte-stable
-	// frames run to run.
-	outbound := make(map[int][]int32)
-	suitors := make(map[int32][]int32) // chosen vertex -> suitor IDs
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok {
-			continue
-		}
-		o := st.owner(w)
-		if o == st.j.Rank {
-			suitors[w] = append(suitors[w], v)
-		} else {
-			outbound[o] = append(outbound[o], v, w)
-		}
-	}
-	_, datas, err := st.lk.exchange(outbound)
-	if err != nil {
-		return 0, err
-	}
-	for _, data := range datas {
-		for i := 0; i+1 < len(data); i += 2 {
-			suitors[data[i+1]] = append(suitors[data[i+1]], data[i])
-		}
-	}
-
-	// Mutual pairs; the loser's owner emits the merge event. Ascending
-	// owned-ID order keeps the event payload — wire bytes — byte-stable.
-	var events []int32 // flat (rep, loser, lo, hi)
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok || w >= v {
-			continue // loser = max(v, w) = v emits
-		}
-		mutual := false
-		if st.owner(w) == st.j.Rank {
-			mutual = choice[w] == v
-		} else {
-			for _, s := range suitors[v] {
-				if s == w {
-					mutual = true
-					break
-				}
-			}
-		}
-		if mutual {
-			union := st.iv[v].Union(st.iv[w])
-			events = append(events, w, v, int32(union.Lo), int32(union.Hi))
-		}
-	}
-
-	// Globally concatenate merge events and apply them everywhere.
-	all, err := st.lk.allGather(events)
-	if err != nil {
-		return 0, err
-	}
-	mergeMap := make(map[int32]int32)
-	merges := 0
-	for i := 0; i+3 < len(all); i += 4 {
-		rep, loser := all[i], all[i+1]
-		union := homog.Interval{Lo: uint8(all[i+2]), Hi: uint8(all[i+3])}
-		mergeMap[loser] = rep
-		// Every worker records the representative's new interval: an edge
-		// relabeled to rep below needs it for future weights.
-		st.iv[rep] = union
-		st.asg.Record(loser, rep)
-		merges++
-	}
-	if st.j.Rank == 0 {
-		if err := st.lk.sendEvent(event{Kind: evMergeIteration, Iteration: int32(iter), Merges: int32(merges)}); err != nil {
-			return 0, err
-		}
-	}
-
-	// Relabel owned adjacency through this iteration's map. Mutual pairs
-	// form a matching, so one relabeling level suffices.
-	for v, adjSet := range st.adj {
-		var add, del []int32
-		//vet:ordered del/add are applied below as keyed set deletions/insertions, which commute
-		for w := range adjSet {
-			if r, ok := mergeMap[w]; ok {
-				del = append(del, w)
-				if r != v {
-					add = append(add, r)
-				}
-			}
-		}
-		for _, w := range del {
-			delete(adjSet, w)
-		}
-		for _, r := range add {
-			adjSet[r] = struct{}{}
-		}
-	}
-
-	// Hand each absorbed loser's adjacency to its representative's owner.
-	// Losers and their adjacency are visited in ascending ID order: the
-	// handover payloads are wire bytes and must be byte-stable run to run.
-	losers := make([]int32, 0, len(mergeMap))
-	for loser := range mergeMap {
-		losers = append(losers, loser)
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
-	handover := make(map[int][]int32)
-	for _, loser := range losers {
-		rep := mergeMap[loser]
-		adjSet, ok := st.adj[loser]
-		if !ok {
-			continue // not owned here
-		}
-		o := st.owner(rep)
-		if o == st.j.Rank {
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			//vet:ordered keyed set union commutes across iteration orders
-			for w := range adjSet {
-				if w != rep {
-					repAdj[w] = struct{}{}
-				}
-			}
-		} else {
-			ws := make([]int32, 0, len(adjSet))
-			for w := range adjSet {
-				ws = append(ws, w)
-			}
-			sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-			payload := []int32{rep, int32(len(adjSet))}
-			for _, w := range ws {
-				iv := st.iv[w]
-				payload = append(payload, w, int32(iv.Lo), int32(iv.Hi))
-			}
-			handover[o] = append(handover[o], payload...)
-		}
-		delete(st.adj, loser)
-	}
-	_, datas, err = st.lk.exchange(handover)
-	if err != nil {
-		return 0, err
-	}
-	for _, data := range datas {
-		i := 0
-		for i < len(data) {
-			if i+1 >= len(data) {
-				return 0, fmt.Errorf("distengine: truncated adjacency handover")
-			}
-			rep, cnt := data[i], int(data[i+1])
-			i += 2
-			if cnt < 0 || i+3*cnt > len(data) {
-				return 0, fmt.Errorf("distengine: truncated adjacency handover")
-			}
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			for k := 0; k < cnt; k++ {
-				w := data[i]
-				iv := homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])}
-				i += 3
-				if w == rep {
-					continue
-				}
-				// The sender relabeled through the same iteration map;
-				// record a mirror interval if the vertex is new here.
-				if _, ok := st.iv[w]; !ok {
-					st.iv[w] = iv
-				}
-				repAdj[w] = struct{}{}
-			}
-		}
-	}
-
-	// Losers no longer exist as vertices anywhere; drop their mirrors.
-	for loser := range mergeMap {
-		delete(st.iv, loser)
-	}
-	return merges, nil
-}
-
-// writeLabels resolves the band's final per-pixel labels.
-func (st *bandState) writeLabels() []int32 {
-	cache := make(map[int32]int32)
-	out := make([]int32, len(st.labels))
-	for i, l := range st.labels {
-		r, ok := cache[l]
-		if !ok {
-			r = st.asg.Find(l)
-			cache[l] = r
-		}
-		out[i] = r
-	}
-	return out
+	return out, nil
 }

@@ -1,21 +1,20 @@
 package mpengine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"regiongrow/internal/core"
-	"regiongrow/internal/homog"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/mpvm"
+	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
-	"regiongrow/internal/rag"
 )
 
 // cancelCode is the sentinel contributed to a reduction by a node that has
@@ -31,7 +30,6 @@ const cancelCode = 1 << 20
 // Engine is the message-passing engine bound to a configuration and
 // communication scheme.
 type Engine struct {
-	cfg    machine.ConfigID
 	scheme mpvm.Scheme
 	nodes  int
 	prof   *machine.Profile
@@ -42,9 +40,9 @@ type Engine struct {
 func New(cfg machine.ConfigID) (*Engine, error) {
 	switch cfg {
 	case machine.CM5_LP:
-		return &Engine{cfg: cfg, scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}, nil
 	case machine.CM5_Async:
-		return &Engine{cfg: cfg, scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}, nil
 	default:
 		return nil, fmt.Errorf("mpengine: %v is not a message-passing configuration", cfg)
 	}
@@ -53,7 +51,7 @@ func New(cfg machine.ConfigID) (*Engine, error) {
 // NewCustom returns an engine with an explicit node count, scheme, and
 // profile — used by scaling ablations and tests.
 func NewCustom(nodes int, scheme mpvm.Scheme, prof *machine.Profile) *Engine {
-	return &Engine{cfg: machine.CM5_LP, scheme: scheme, nodes: nodes, prof: prof}
+	return &Engine{scheme: scheme, nodes: nodes, prof: prof}
 }
 
 // Name implements core.Engine.
@@ -86,13 +84,8 @@ func factor(q int) (p1, p2 int, err error) {
 	if q <= 0 || q&(q-1) != 0 {
 		return 0, 0, fmt.Errorf("mpengine: node count %d is not a power of two", q)
 	}
-	k := 0
-	for 1<<k < q {
-		k++
-	}
-	p1 = 1 << (k / 2)
-	p2 = q / p1
-	return p1, p2, nil
+	p1 = 1 << (bits.TrailingZeros(uint(q)) / 2)
+	return p1, q / p1, nil
 }
 
 // Segment implements core.Engine.
@@ -122,56 +115,28 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 		return nil, fmt.Errorf("mpengine: tile %dx%d not aligned to square cap %d", g.tw, g.th, cap)
 	}
 
+	cfg.MaxSquare = cap             // the node program takes the resolved cap
 	out := make([]int32, im.W*im.H) // nodes write disjoint tiles
-	results := make([]nodeResult, e.nodes)
-	var wallMu sync.Mutex
-	var splitWallMax time.Duration
+	nodes := make([]*simNode, e.nodes)
 
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing total wall-time for Stats; never reaches labels or messages
 	_, clusterStats, err := mpvm.Run(e.nodes, e.prof, func(n *mpvm.Node) error {
-		st := &nodeState{n: n, g: g, e: e, im: im, cfg: cfg, cap: cap, crit: cfg.Criterion(), ctx: ctx, run: run}
-		tSplit := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or messages
-		st.splitLocal()
-		code := st.localIters
-		if ctx.Err() != nil {
-			code |= cancelCode
-		}
-		red := n.AllReduceMax(code)
-		if red >= cancelCode {
-			return ctxErr(ctx)
-		}
-		st.splitIters = red
-		st.numSquares = n.AllReduceSum(len(st.ownedIDs))
-		n.Barrier()
-		simSplit := n.Clock()
-		wallMu.Lock()
-		if d := time.Since(tSplit); d > splitWallMax { //vet:timing stage wall-time for Stats; never reaches labels or messages
-			splitWallMax = d
-		}
-		wallMu.Unlock()
-		if n.Rank == 0 {
-			run.Emit(core.StageEvent{Kind: core.EventSplitDone, Iterations: st.splitIters, Squares: st.numSquares})
-		}
-
-		st.buildGraph()
-		if n.Rank == 0 {
-			run.Emit(core.StageEvent{Kind: core.EventGraphDone, Squares: st.numSquares})
-		}
-		if err := st.mergeLoop(); err != nil {
+		sn := &simNode{n: n, e: e, ctx: ctx, run: run, pixels: g.tw * g.th, start: time.Now()} //vet:timing stage wall-time for Stats; never reaches labels or messages
+		nodes[n.Rank] = sn
+		x0, y0 := g.tileOrigin(n.Rank)
+		tile, err := im.SubImage(x0, y0, g.tw, g.th)
+		if err != nil {
 			return err
 		}
-		st.writeLabels(out)
-		n.Barrier()
-		results[n.Rank] = nodeResult{
-			simSplit: simSplit,
-			simTotal: n.Clock(),
-			iters:    st.stats.Iterations,
-			merges:   st.stats.MergesPerIter,
-			forced:   st.stats.ForcedResolutions,
-			splitIt:  st.splitIters,
-			squares:  st.numSquares,
+		if sn.res, err = nodeprog.Run(sn, g.geometry(n), tile, cfg); err != nil {
+			return err
 		}
+		for ly := 0; ly < g.th; ly++ {
+			copy(out[(y0+ly)*g.W+x0:], sn.res.Labels[ly*g.tw:(ly+1)*g.tw])
+		}
+		n.Barrier()
+		sn.simTotal = n.Clock()
 		return nil
 	})
 	totalWall := time.Since(t0) //vet:timing total wall-time for Stats; never reaches labels or messages
@@ -179,15 +144,19 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 		return nil, err
 	}
 
-	r0 := results[0]
+	var splitWallMax time.Duration
+	for _, sn := range nodes {
+		splitWallMax = max(splitWallMax, sn.splitWall)
+	}
+	r0 := nodes[0]
 	seg := &core.Segmentation{
 		W: im.W, H: im.H,
 		Labels:            out,
-		SplitIterations:   r0.splitIt,
-		MergeIterations:   r0.iters,
-		SquaresAfterSplit: r0.squares,
-		MergesPerIter:     r0.merges,
-		ForcedResolutions: r0.forced,
+		SplitIterations:   r0.res.SplitIterations,
+		MergeIterations:   r0.res.Merge.Iterations,
+		SquaresAfterSplit: r0.res.Squares,
+		MergesPerIter:     r0.res.Merge.MergesPerIter,
+		ForcedResolutions: r0.res.Merge.ForcedResolutions,
 		SplitWall:         splitWallMax,
 		MergeWall:         totalWall - splitWallMax,
 		SplitSim:          r0.simSplit,
@@ -207,500 +176,119 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 	return seg, nil
 }
 
-// ctxErr returns ctx's error, falling back to context.Canceled for the
-// window where a peer observed cancellation first and this node's own
-// check has not caught up.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return context.Canceled
-}
-
 var _ core.ContextEngine = (*Engine)(nil)
 
-type nodeResult struct {
-	simSplit, simTotal float64
-	iters              int
-	merges             []int
-	forced             int
-	splitIt            int
-	squares            int
+// stripTag tags the boundary-strip messages of step 2.
+const stripTag = 100
+
+// geometry is the node program's view of rank n's tile: the boundary
+// strips go to the four grid neighbours as plain sends and receives (the
+// paper's regular neighbour communication, not scheme-dependent), east,
+// west, south, north.
+func (g geom) geometry(n *mpvm.Node) nodeprog.Geometry {
+	x0, y0 := g.tileOrigin(n.Rank)
+	row, col := n.Rank/g.P2, n.Rank%g.P2
+	var nbs []nodeprog.Neighbour
+	add := func(exists bool, rank int, side nodeprog.Side) {
+		if exists {
+			nbs = append(nbs, nodeprog.Neighbour{Rank: rank, Side: side})
+		}
+	}
+	add(col+1 < g.P2, n.Rank+1, nodeprog.East)
+	add(col > 0, n.Rank-1, nodeprog.West)
+	add(row+1 < g.P1, n.Rank+g.P2, nodeprog.South)
+	add(row > 0, n.Rank-g.P2, nodeprog.North)
+	trade := func(out [][]int32) ([]int, [][]int32, error) {
+		for i, nb := range nbs {
+			n.Send(nb.Rank, stripTag, out[i])
+		}
+		srcs, data := make([]int, len(nbs)), make([][]int32, len(nbs))
+		for i, nb := range nbs {
+			srcs[i], data[i] = nb.Rank, n.Recv(nb.Rank, stripTag).Data
+		}
+		return srcs, data, nil
+	}
+	return nodeprog.Geometry{W: g.W, X0: x0, Y0: y0, Owner: g.owner, Neighbours: nbs, Trade: trade}
 }
 
-// nodeState is the per-node program state.
-type nodeState struct {
-	n    *mpvm.Node
-	g    geom
-	e    *Engine
-	im   *pixmap.Image
-	cfg  core.Config
-	cap  int
-	crit homog.Criterion
+// simNode is a simulated CM-5 node as the node program's channel. Every
+// collective and exchange charges the node's simulated clock through
+// mpvm; Charge converts reported work with the machine profile; each
+// stage boundary is a barrier.
+type simNode struct {
+	n      *mpvm.Node
+	e      *Engine
+	ctx    context.Context
+	run    core.Run
+	pixels int // tile pixels, for the per-round overhead
+	tag    int // monotonically increasing exchange tag
 
-	ctx context.Context
-	run core.Run
-
-	x0, y0     int
-	labels     []int32 // local tile labels (global region IDs), tw×th
-	localIters int
-	splitIters int
-	numSquares int
-
-	ownedIDs []int32                      // owned vertex IDs, kept sorted
-	iv       map[int32]homog.Interval     // intervals of every known vertex
-	adj      map[int32]map[int32]struct{} // adjacency of owned vertices
-
-	asg   *rag.Assignments
-	stats rag.MergeStats
-	tag   int // monotonically increasing exchange tag
+	start     time.Time
+	splitWall time.Duration
+	simSplit  float64 // node time when the split stage ended
+	simTotal  float64 // node time when the run ended
+	res       *nodeprog.Result
 }
 
-// splitLocal is step 1: split the node's sub-image independently.
-func (st *nodeState) splitLocal() {
-	g := st.g
-	st.x0, st.y0 = g.tileOrigin(st.n.Rank)
-	sub, err := st.im.SubImage(st.x0, st.y0, g.tw, g.th)
-	if err != nil {
-		panic(err)
-	}
-	res := quadsplit.Split(sub, st.crit, quadsplit.Options{MaxSquare: st.cap})
-	st.localIters = res.Iterations
-	// The F77 node code walks its tile once per level testing quad-blocks:
-	// charge ~8 scalar ops per pixel plus a fixed loop-setup cost per
-	// executed level.
-	st.n.Charge(g.tw * g.th * res.Iterations * 8)
-	st.n.ChargeTime(float64(res.Iterations) * st.e.prof.TSplitLevel)
+func (s *simNode) Rank() int { return s.n.Rank }
 
-	// Convert local labels to global region IDs.
-	st.labels = make([]int32, g.tw*g.th)
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			l := res.Labels[ly*g.tw+lx]
-			gx := st.x0 + int(l)%g.tw
-			gy := st.y0 + int(l)/g.tw
-			st.labels[ly*g.tw+lx] = int32(gy*g.W + gx)
-		}
+// AllReduceMax doubles as the cancellation rendezvous: a node that has
+// observed cancellation contributes cancelCode, and every node returns
+// the context's error from the same reduction (context.Canceled while a
+// peer saw the cancellation first and this node's own check lags).
+func (s *simNode) AllReduceMax(v int) (int, error) {
+	if s.ctx.Err() != nil {
+		v |= cancelCode
 	}
-	// Owned vertices and their intervals.
-	st.iv = make(map[int32]homog.Interval)
-	st.adj = make(map[int32]map[int32]struct{})
-	for _, sq := range res.Squares(sub) {
-		gid := int32((st.y0+sq.Y)*g.W + (st.x0 + sq.X))
-		st.iv[gid] = sq.IV
-		st.adj[gid] = make(map[int32]struct{})
-		st.ownedIDs = append(st.ownedIDs, gid)
+	red := s.n.AllReduceMax(v)
+	if red >= cancelCode {
+		return 0, cmp.Or(s.ctx.Err(), context.Canceled)
 	}
-	sort.Slice(st.ownedIDs, func(i, j int) bool { return st.ownedIDs[i] < st.ownedIDs[j] })
+	return red, nil
 }
 
-// buildGraph is step 2: internal edges from the tile, cross edges from
-// boundary strips exchanged with grid neighbours.
-func (st *nodeState) buildGraph() {
-	g := st.g
-	// Internal edges.
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			a := st.labels[ly*g.tw+lx]
-			if lx+1 < g.tw {
-				if b := st.labels[ly*g.tw+lx+1]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-			if ly+1 < g.th {
-				if b := st.labels[(ly+1)*g.tw+lx]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-		}
-	}
-	st.n.Charge(g.tw * g.th * 4)
+func (s *simNode) AllReduceSum(v int) (int, error) { return s.n.AllReduceSum(v), nil }
 
-	// Boundary strips: for each of the four neighbours, send the labels
-	// and intervals of my border pixels facing them; receive theirs; zip
-	// into cross edges. Regular neighbour communication (not
-	// scheme-dependent), as in the paper's step 2.
-	row, col := st.n.Rank/g.P2, st.n.Rank%g.P2
-	type dir struct {
-		drow, dcol int
-		tag        int
-	}
-	dirs := []dir{{0, 1, 1}, {0, -1, 2}, {1, 0, 3}, {-1, 0, 4}}
-	for _, d := range dirs {
-		nr, nc := row+d.drow, col+d.dcol
-		if nr < 0 || nr >= g.P1 || nc < 0 || nc >= g.P2 {
-			continue
-		}
-		peer := nr*g.P2 + nc
-		strip := st.borderStrip(d.drow, d.dcol)
-		payload := make([]int32, 0, len(strip)*3)
-		for _, id := range strip {
-			iv := st.iv[id]
-			payload = append(payload, id, int32(iv.Lo), int32(iv.Hi))
-		}
-		st.n.Send(peer, 100+d.tag, payload)
-	}
-	for _, d := range dirs {
-		nr, nc := row+d.drow, col+d.dcol
-		if nr < 0 || nr >= g.P1 || nc < 0 || nc >= g.P2 {
-			continue
-		}
-		peer := nr*g.P2 + nc
-		// The peer sends with the opposite direction's tag.
-		opp := map[int]int{1: 2, 2: 1, 3: 4, 4: 3}[d.tag]
-		m := st.n.Recv(peer, 100+opp)
-		mine := st.borderStrip(d.drow, d.dcol)
-		if len(m.Data) != len(mine)*3 {
-			panic(fmt.Sprintf("mpengine: boundary strip length %d, want %d", len(m.Data), len(mine)*3))
-		}
-		for i, myID := range mine {
-			theirID := m.Data[3*i]
-			theirIV := homog.Interval{Lo: uint8(m.Data[3*i+1]), Hi: uint8(m.Data[3*i+2])}
-			if _, ok := st.iv[theirID]; !ok {
-				st.iv[theirID] = theirIV
-			}
-			if myID != theirID {
-				st.addEdge(myID, theirID)
-			}
-		}
-	}
-	st.n.Barrier()
+func (s *simNode) AllGather(data []int32) ([]int32, error) {
+	return slices.Concat(s.n.AllGather(data)...), nil
 }
 
-// borderStrip returns, pixel by pixel, the labels along the tile border
-// facing direction (drow, dcol).
-func (st *nodeState) borderStrip(drow, dcol int) []int32 {
-	g := st.g
-	var out []int32
-	switch {
-	case dcol == 1: // east: last column, top to bottom
-		for ly := 0; ly < g.th; ly++ {
-			out = append(out, st.labels[ly*g.tw+g.tw-1])
-		}
-	case dcol == -1: // west: first column
-		for ly := 0; ly < g.th; ly++ {
-			out = append(out, st.labels[ly*g.tw])
-		}
-	case drow == 1: // south: last row, left to right
-		out = append(out, st.labels[(g.th-1)*g.tw:g.th*g.tw]...)
-	default: // north: first row
-		out = append(out, st.labels[:g.tw]...)
+func (s *simNode) Exchange(out map[int][]int32) ([][]int32, error) {
+	s.tag += 64
+	recv := s.n.Exchange(out, s.e.scheme, 1000+s.tag)
+	in := make([][]int32, 0, len(recv))
+	for _, src := range slices.Sorted(maps.Keys(recv)) {
+		in = append(in, recv[src])
 	}
-	return out
+	return in, nil
 }
 
-// addEdge records adjacency on whichever endpoints this node owns.
-func (st *nodeState) addEdge(a, b int32) {
-	if s, ok := st.adj[a]; ok {
-		s[b] = struct{}{}
+// Stage synchronises the cluster at the end of the split and graph
+// stages (SplitSim is node time at the first of them); node 0 reports
+// every event.
+func (s *simNode) Stage(ev core.StageEvent) error {
+	if ev.Kind == core.EventSplitDone || ev.Kind == core.EventGraphDone {
+		s.n.Barrier()
 	}
-	if s, ok := st.adj[b]; ok {
-		s[a] = struct{}{}
+	if ev.Kind == core.EventSplitDone {
+		s.simSplit = s.n.Clock()
+		s.splitWall = time.Since(s.start) //vet:timing stage wall-time for Stats; never reaches labels or messages
 	}
+	if s.n.Rank == 0 {
+		s.run.Emit(ev)
+	}
+	return nil
 }
 
-// weight returns the merge weight of edge (a, b) from the interval table.
-func (st *nodeState) weight(a, b int32) int {
-	return homog.Weight(st.iv[a], st.iv[b])
-}
-
-// mergeLoop is steps 3–5. It returns the context's error when the run was
-// cancelled — a decision every node reaches together through the round's
-// head reduction — and nil when the merge ran to completion.
-func (st *nodeState) mergeLoop() error {
-	st.asg = rag.NewAssignments()
-	stalls := 0
-	for {
-		// Termination: any active edge anywhere? (The owned-side view is
-		// complete: every edge has at least one owned endpoint on some
-		// node.)
-		anyActive := false
-		scanned := 0
-		for _, v := range st.ownedIDs {
-			adj, alive := st.adj[v]
-			if !alive {
-				continue
-			}
-			// The scan stops at the first active edge, so the charged count
-			// depends on visit order: scan neighbours in ascending ID.
-			for _, w := range slices.Sorted(maps.Keys(adj)) {
-				scanned++
-				if st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-					anyActive = true
-					break
-				}
-			}
-			if anyActive {
-				break
-			}
-		}
-		st.n.Charge(scanned * 4)
-		// The head reduction doubles as the cancellation rendezvous: the
-		// activity flag (0/1) and the cancel sentinel share one
-		// AllReduceMax, which is exactly what AllReduceOr costs.
-		code := 0
-		if anyActive {
-			code = 1
-		}
-		if st.ctx.Err() != nil {
-			code = cancelCode
-		}
-		switch red := st.n.AllReduceMax(code); {
-		case red >= cancelCode:
-			return ctxErr(st.ctx)
-		case red == 0:
-			return nil
-		}
-		st.stats.Iterations++
-		// Per-iteration node-program overhead (see machine.Profile).
-		st.n.ChargeTime(st.e.prof.TMergeIterFixed +
-			st.e.prof.TMergeIterPixel*float64(st.g.tw*st.g.th))
-		policy := st.cfg.Tie
-		if policy == rag.Random && stalls >= 3 {
-			policy = rag.SmallestID
-			st.stats.ForcedResolutions++
-			stalls = 0
-		}
-
-		merged := st.mergeIteration(policy)
-		st.stats.MergesPerIter = append(st.stats.MergesPerIter, merged)
-		if merged == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
+// Charge adds the work to the node's simulated clock; split levels and
+// merge rounds also pay their fixed costs (see machine.Profile).
+func (s *simNode) Charge(c nodeprog.Cost) {
+	prof := s.e.prof
+	s.n.Charge(c.Ops)
+	if c.SplitLevels > 0 {
+		s.n.ChargeTime(float64(c.SplitLevels) * prof.TSplitLevel)
 	}
-}
-
-// mergeIteration runs one choice/merge/update round and returns the global
-// number of merges.
-func (st *nodeState) mergeIteration(policy rag.TiePolicy) int {
-	g := st.g
-	iter := st.stats.Iterations
-
-	// Step 3a: choices for owned, alive vertices.
-	choice := make(map[int32]int32)
-	var tied []int32
-	scanned := 0
-	for _, v := range st.ownedIDs {
-		adj, alive := st.adj[v]
-		if !alive {
-			continue
-		}
-		bestW := -1
-		tied = tied[:0]
-		//vet:ordered min-reduction plus count; the tie list is sorted inside rag.PickTied before any order-dependent use
-		for w := range adj {
-			scanned++
-			wt := st.weight(v, w)
-			if !st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-				continue
-			}
-			switch {
-			case bestW < 0 || wt < bestW:
-				bestW = wt
-				tied = tied[:0]
-				tied = append(tied, w)
-			case wt == bestW:
-				tied = append(tied, w)
-			}
-		}
-		if bestW >= 0 {
-			choice[v] = rag.PickTied(tied, policy, st.cfg.Seed, iter, v)
-		}
+	for range c.MergeRounds {
+		s.n.ChargeTime(prof.TMergeIterFixed + prof.TMergeIterPixel*float64(s.pixels))
 	}
-	st.n.Charge(scanned*6 + len(choice)*4)
-
-	// Step 3b: route each choice (v, w) to owner(w). Iterate owned IDs,
-	// not the choice map, so the routed payloads are byte-stable run to
-	// run — the same bytes the distributed engine puts on real sockets.
-	outbound := make(map[int][]int32)
-	suitors := make(map[int32][]int32) // w -> suitors v
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok {
-			continue
-		}
-		o := g.owner(w)
-		if o == st.n.Rank {
-			suitors[w] = append(suitors[w], v)
-		} else {
-			outbound[o] = append(outbound[o], v, w)
-		}
-	}
-	st.tag += 64
-	//vet:ordered suitor lists are consulted for membership only, so arrival order commutes
-	for _, data := range st.n.Exchange(outbound, st.e.scheme, 1000+st.tag) {
-		for i := 0; i+1 < len(data); i += 2 {
-			suitors[data[i+1]] = append(suitors[data[i+1]], data[i])
-		}
-	}
-
-	// Step 3c: mutual pairs. Both owners detect; the loser's owner emits
-	// the event.
-	var events []int32 // flat (rep, loser, lo, hi)
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok || w >= v {
-			continue // emit from the loser side only: loser = max(v, w) = v
-		}
-		mutual := false
-		if g.owner(w) == st.n.Rank {
-			mutual = choice[w] == v
-		} else {
-			for _, s := range suitors[v] {
-				if s == w {
-					mutual = true
-					break
-				}
-			}
-		}
-		if mutual {
-			union := st.iv[v].Union(st.iv[w])
-			events = append(events, w, v, int32(union.Lo), int32(union.Hi))
-		}
-	}
-
-	// Step 4a: globally concatenate merge events.
-	all := st.n.AllGather(events)
-	mergeMap := make(map[int32]int32)
-	merges := 0
-	for _, data := range all {
-		for i := 0; i+3 < len(data); i += 4 {
-			rep, loser := data[i], data[i+1]
-			union := homog.Interval{Lo: uint8(data[i+2]), Hi: uint8(data[i+3])}
-			mergeMap[loser] = rep
-			// Every node records the representative's new interval: an
-			// edge relabeled to rep below needs it for future weights.
-			st.iv[rep] = union
-			st.asg.Record(loser, rep)
-			merges++
-		}
-	}
-	st.n.Charge(merges * 8)
-	if st.n.Rank == 0 {
-		st.run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merges})
-	}
-
-	// Step 4b: relabel owned adjacency through this iteration's map.
-	// Mutual pairs form a matching, so one relabeling level suffices.
-	relabeled := 0
-	//vet:ordered per-vertex set edits and a count are keyed and independent, so vertex visit order commutes
-	for v, adjSet := range st.adj {
-		var add, del []int32
-		//vet:ordered del/add are applied below as keyed set deletions/insertions, which commute
-		for w := range adjSet {
-			if r, ok := mergeMap[w]; ok {
-				del = append(del, w)
-				if r != v {
-					add = append(add, r)
-				}
-				relabeled++
-			}
-		}
-		for _, w := range del {
-			delete(adjSet, w)
-		}
-		for _, r := range add {
-			adjSet[r] = struct{}{}
-		}
-	}
-	st.n.Charge(relabeled * 6)
-
-	// Step 4c: hand the loser's adjacency to the representative's owner.
-	// Losers and their adjacency are visited in ascending ID order so the
-	// handover payloads are byte-stable run to run.
-	losers := make([]int32, 0, len(mergeMap))
-	for loser := range mergeMap {
-		losers = append(losers, loser)
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
-	handover := make(map[int][]int32)
-	for _, loser := range losers {
-		rep := mergeMap[loser]
-		adjSet, ok := st.adj[loser]
-		if !ok {
-			continue // not owned here
-		}
-		o := g.owner(rep)
-		if o == st.n.Rank {
-			// Local transfer.
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			//vet:ordered keyed set union commutes across iteration orders
-			for w := range adjSet {
-				if w != rep {
-					repAdj[w] = struct{}{}
-				}
-			}
-		} else {
-			ws := make([]int32, 0, len(adjSet))
-			for w := range adjSet {
-				ws = append(ws, w)
-			}
-			sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-			payload := []int32{rep, int32(len(adjSet))}
-			for _, w := range ws {
-				iv := st.iv[w]
-				payload = append(payload, w, int32(iv.Lo), int32(iv.Hi))
-			}
-			handover[o] = append(handover[o], payload...)
-		}
-		delete(st.adj, loser)
-	}
-	st.tag += 64
-	//vet:ordered keyed set unions and first-writer-wins mirror intervals commute: every sender relabeled with the same matching, so concurrent values agree
-	for _, data := range st.n.Exchange(handover, st.e.scheme, 2000+st.tag) {
-		i := 0
-		for i < len(data) {
-			rep, cnt := data[i], int(data[i+1])
-			i += 2
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			for k := 0; k < cnt; k++ {
-				w := data[i]
-				iv := homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])}
-				i += 3
-				if w == rep {
-					continue
-				}
-				// Incoming neighbours were relabeled by the sender with
-				// the same iteration map; record a mirror interval if new.
-				if _, ok := st.iv[w]; !ok {
-					st.iv[w] = iv
-				}
-				repAdj[w] = struct{}{}
-			}
-		}
-	}
-
-	// Losers no longer exist as vertices anywhere; drop their mirrors.
-	for loser := range mergeMap {
-		delete(st.iv, loser)
-	}
-	return merges
-}
-
-// writeLabels resolves the per-pixel final labels into the shared output.
-func (st *nodeState) writeLabels(out []int32) {
-	g := st.g
-	cache := make(map[int32]int32)
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			l := st.labels[ly*g.tw+lx]
-			r, ok := cache[l]
-			if !ok {
-				r = st.asg.Find(l)
-				cache[l] = r
-			}
-			out[(st.y0+ly)*g.W+(st.x0+lx)] = r
-		}
-	}
-	st.n.Charge(g.tw * g.th * 2)
 }

@@ -1,7 +1,9 @@
 package mpvm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,6 +46,7 @@ type Cluster struct {
 	reduceSum int64
 
 	stats ClusterStats
+	cause error // the first node failure; it shut the cluster down
 }
 
 // ClusterStats aggregates communication counters across the run.
@@ -87,8 +90,10 @@ func (s Scheme) String() string {
 }
 
 // Run executes f on q nodes and returns the per-node simulated finish
-// times and aggregate statistics. A panic in any node program is recovered
-// and returned as an error.
+// times and aggregate statistics. A node program that panics or returns
+// an error shuts the cluster down: peers blocked in a collective or a
+// receive fail fast instead of deadlocking, and Run returns the first
+// failure.
 func Run(q int, prof *machine.Profile, f func(n *Node) error) (clocks []float64, stats ClusterStats, err error) {
 	if q <= 0 {
 		return nil, ClusterStats{}, fmt.Errorf("mpvm: need at least one node, got %d", q)
@@ -97,33 +102,31 @@ func Run(q int, prof *machine.Profile, f func(n *Node) error) (clocks []float64,
 	cl.cond = sync.NewCond(&cl.mu)
 
 	clocks = make([]float64, q)
-	errs := make([]error, q)
 	var wg sync.WaitGroup
 	for r := 0; r < q; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			n := &Node{Rank: rank, cl: cl}
+			var err error
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpvm: node %d panicked: %v", rank, p)
+					err = fmt.Errorf("mpvm: node %d panicked: %v", rank, p)
+				}
+				if err != nil {
 					cl.mu.Lock()
+					cl.cause = cmp.Or(cl.cause, err)
 					cl.barGen = shutdownGen
 					cl.mu.Unlock()
 					cl.cond.Broadcast()
 				}
 				clocks[rank] = n.clock
 			}()
-			errs[rank] = f(n)
+			err = f(n)
 		}(r)
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return clocks, cl.stats, e
-		}
-	}
-	return clocks, cl.stats, nil
+	return clocks, cl.stats, cl.cause
 }
 
 // Clock returns the node's simulated time in seconds.
@@ -439,25 +442,12 @@ func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 	for i := range msgs {
 		msgs[i] = n.receive(-1, tag)
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].arrive != msgs[j].arrive {
-			return msgs[i].arrive < msgs[j].arrive
-		}
-		return msgs[i].Src < msgs[j].Src
+	slices.SortFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.arrive, b.arrive), cmp.Compare(a.Src, b.Src))
 	})
 	for _, m := range msgs {
 		n.acceptClock(m)
 		recv[m.Src] = m.Data
 	}
 	return recv
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func log2ceil(v int) int {
-	n := 0
-	for (1 << n) < v {
-		n++
-	}
-	return n
 }

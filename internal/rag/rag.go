@@ -154,13 +154,13 @@ func (g *Graph) AddEdge(a, b int32) {
 	if !ok {
 		panic(fmt.Sprintf("rag: AddEdge endpoint %d missing", b))
 	}
-	g.adj[sa] = insertSorted(g.adj[sa], sb)
-	g.adj[sb] = insertSorted(g.adj[sb], sa)
+	g.adj[sa] = InsertSorted(g.adj[sa], sb)
+	g.adj[sb] = InsertSorted(g.adj[sb], sa)
 }
 
 // insertSorted adds x to a sorted slot list, keeping it sorted and
 // duplicate-free.
-func insertSorted(list []int32, x int32) []int32 {
+func InsertSorted(list []int32, x int32) []int32 {
 	i, found := slices.BinarySearch(list, x)
 	if found {
 		return list
@@ -572,10 +572,10 @@ func (s MergeStats) TotalMerges() int {
 // on a simulated machine, or fanned out over goroutines); the loop
 // semantics — iteration numbering, stall accounting, forced resolutions —
 // live here so engines sharing the driver cannot drift apart. MergeAll
-// (the sequential kernel) and the native shmengine run on it; dpengine
-// and mpengine still inline the same loop interleaved with their
-// simulated-cost accounting, with the cross-engine property tests pinning
-// them to these semantics.
+// (the sequential kernel), the native shmengine and the message-passing
+// node program (internal/nodeprog) run on it; dpengine still inlines the
+// same loop interleaved with its simulated-cost accounting, with the
+// cross-engine property tests pinning it to these semantics.
 func Drive(policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) MergeStats {
 	stats, _ := DriveCtx(context.Background(), policy, hasActive, iterate)
 	return stats
@@ -689,8 +689,8 @@ func (g *Graph) contractSlots(sa, sb int32) {
 			continue
 		}
 		g.adj[n] = removeSorted(g.adj[n], sb)
-		g.adj[n] = insertSorted(g.adj[n], sa)
-		g.adj[sa] = insertSorted(g.adj[sa], n)
+		g.adj[n] = InsertSorted(g.adj[n], sa)
+		g.adj[sa] = InsertSorted(g.adj[sa], n)
 	}
 	g.adj[sb] = nil
 	g.alive[sb] = false

@@ -55,6 +55,7 @@ var scope = map[string]bool{
 	"regiongrow/internal/stats":      true,
 	"regiongrow/internal/dpengine":   true,
 	"regiongrow/internal/mpengine":   true,
+	"regiongrow/internal/nodeprog":   true,
 	"regiongrow/internal/shmengine":  true,
 	"regiongrow/internal/distengine": true,
 	"regiongrow/internal/stream":     true,
