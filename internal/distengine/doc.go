@@ -2,8 +2,9 @@
 // network-distributed system: N worker processes each own a horizontal
 // band of the image, split it locally, exchange boundary RAG rows and
 // merge decisions over TCP through a coordinator hub, and stream stage
-// events back — the message-passing program internal/mpengine simulates
-// on 32 virtual nodes, executed over real sockets.
+// events back. Each worker runs internal/nodeprog, the message-passing
+// program internal/mpengine runs on 32 simulated nodes, over its link to
+// the coordinator.
 //
 // The wire protocol is a small set of length-prefixed binary frames
 // (stdlib only): a job frame carrying geometry, config, and the worker's
@@ -20,6 +21,5 @@
 // are byte-identical to the sequential engine for every Config: band
 // boundaries are aligned to the effective split cap (no split square
 // crosses one) and every merge decision rule is shared through
-// internal/rag, the same construction the property-tested shmengine and
-// mpengine use.
+// internal/rag, the same construction the property-tested shmengine uses.
 package distengine

@@ -1,30 +1,18 @@
-// Package mpengine implements the paper's message-passing (F77 + CMMD)
-// split-and-merge program on the mpvm cluster.
+// Package mpengine runs the paper's message-passing (F77 + CMMD)
+// split-and-merge program, internal/nodeprog, on the mpvm cluster.
 //
-// The node program follows the paper's steps 0–5:
-//
-//  0. The image is block-mapped onto a P1×P2 node grid; each node holds an
-//     (N/P1)×(N/P2) sub-image, preserving adjacency between blocks.
-//  1. Each node splits its sub-image independently. Because tile sides are
-//     multiples of the square-size cap, the union of the local splits is
-//     exactly the global split.
-//  2. Each node builds the vertices and edges of its local graph; boundary
-//     strips (labels plus region intervals) are exchanged with the four
-//     grid neighbours to create cross-node edges.
-//  3. Nodes compute merge choices for the vertices they own, route each
-//     choice to the chosen neighbour's owner, and detect mutual pairs.
-//  4. Merge events (representative, loser, new interval) are globally
-//     concatenated so every node can relabel its edges; each loser's
-//     adjacency list is handed over to its representative's owner.
-//  5. Steps 3–4 repeat while any node still has an active edge.
+// The image is block-mapped onto a P1×P2 node grid; each node holds an
+// (N/P1)×(N/P2) tile, preserving adjacency between blocks, and trades its
+// boundary strips with its four grid neighbours. Each node's channel is
+// a simulated CM-5 node: collectives and messages charge its clock inside
+// mpvm, and the work the program reports is converted to simulated time
+// with the machine profile.
 //
 // Irregular communications (choice routing, adjacency handover) run under
 // either the Linear Permutation or the Async scheme — the comparison at the
 // heart of the paper's CM-5 message-passing results.
 //
-// Vertex ownership is static: a region is owned by the node whose tile
-// contains its origin pixel; when two regions merge, the representative
-// (smaller ID) keeps its owner. Choices use the same hash-based tie
-// semantics as the sequential kernel, so the engine produces segmentations
-// identical to the sequential engine for every policy and seed.
+// Choices use the same hash-based tie semantics as the sequential kernel,
+// so the engine produces segmentations identical to the sequential engine
+// for every policy and seed.
 package mpengine

@@ -20,11 +20,11 @@ import (
 // cancelCode is the sentinel contributed to a reduction by a node that has
 // observed context cancellation. Cancellation must be a collective
 // decision — a node returning unilaterally would leave its peers blocked
-// in a barrier — so nodes fold it into reductions they already perform
-// (AllReduceOr is AllReduceMax underneath, so the piggyback changes no
-// simulated times and no communication counters). The code dominates any
-// legitimate contribution: split iterations and the merge loop's 0/1
-// activity flag are both far below it.
+// in a barrier — so nodes fold it into the max-reductions the node
+// program already performs (the split handoff and each merge round's
+// activity test), which changes no simulated times and no communication
+// counters. The code dominates any legitimate contribution: split
+// iterations and the merge loop's 0/1 activity flag are both far below it.
 const cancelCode = 1 << 20
 
 // Engine is the message-passing engine bound to a configuration and
