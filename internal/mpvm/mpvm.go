@@ -223,6 +223,12 @@ func (n *Node) acceptClock(m Message) {
 func (n *Node) Barrier() {
 	cl := n.cl
 	cl.mu.Lock()
+	if cl.barGen == shutdownGen {
+		// A node that arrives after the shutdown would otherwise wait for
+		// a generation that never completes.
+		cl.mu.Unlock()
+		panic("mpvm: cluster shut down at barrier")
+	}
 	if n.clock > cl.barMax {
 		cl.barMax = n.clock
 	}

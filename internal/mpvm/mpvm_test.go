@@ -1,6 +1,7 @@
 package mpvm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -329,6 +330,24 @@ func TestNodePanicPropagates(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") && !strings.Contains(err.Error(), "shut down") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestNodeErrorShutsDown: a node program that returns an error shuts the
+// cluster down like a panic does, and Run returns that first failure, not
+// the shutdown its peers observe.
+func TestNodeErrorShutsDown(t *testing.T) {
+	boom := errors.New("boom")
+	_, _, err := Run(4, prof(), func(n *Node) error {
+		if n.Rank == 2 {
+			return boom
+		}
+		n.Barrier()
+		n.Recv(2, 1)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
