@@ -237,10 +237,10 @@ func TestUniformAndCheckerboard(t *testing.T) {
 
 // TestSimulatedTimesRepeat: the simulated clocks are a pure function of
 // image and configuration. Each paper image under LP and Async, run ten
-// times, gives bit-identical SplitSim and MergeSim. Two things used to
-// break this: the merge loop's activity scan stopped at the first active
-// edge while visiting neighbours in map order, and the async exchange
-// accepted messages in the Go scheduler's delivery order.
+// times, gives bit-identical SplitSim and MergeSim. This needs the merge
+// loop's activity scan, which stops at the first active edge, to visit
+// neighbours in a fixed order, and the async exchange to accept messages
+// in simulated rather than scheduler order.
 func TestSimulatedTimesRepeat(t *testing.T) {
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
 	for _, mc := range []machine.ConfigID{machine.CM5_LP, machine.CM5_Async} {
