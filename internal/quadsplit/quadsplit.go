@@ -330,24 +330,34 @@ func SplitCtx(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt O
 
 // Squares enumerates the square regions in north-west raster order.
 func (r *Result) Squares(im *pixmap.Image) []Square {
-	var out []Square
+	return r.AppendSquares(make([]Square, 0, max(r.NumSquares, 0)), im)
+}
+
+// AppendSquares appends the square regions to dst in north-west raster
+// order and returns the extended slice, so a caller splitting band after
+// band can reuse one buffer. Each square's interval is the union of its
+// rows' packed min/max (homog.RowMinMax) — the same exact pixel union a
+// per-pixel fold gives, one call per square row instead of one per pixel.
+func (r *Result) AppendSquares(dst []Square, im *pixmap.Image) []Square {
+	w := r.W
 	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			i := y*r.W + x
-			if r.Labels[i] != int32(i) {
+		for x, lab := range r.Labels[y*w : y*w+w] {
+			i := y*w + x
+			if lab != int32(i) {
 				continue
 			}
 			s := int(r.Size[i])
-			iv := homog.Empty()
-			for yy := y; yy < y+s; yy++ {
-				for xx := x; xx < x+s; xx++ {
-					iv = iv.Union(homog.Point(im.At(xx, yy)))
-				}
+			iv := homog.Point(im.Pix[i])
+			for row := i; s > 1 && row < i+s*w; row += w {
+				// Square rows are never empty, so the min/max fold is the
+				// exact union.
+				lo, hi := homog.RowMinMax(im.Pix[row : row+s])
+				iv = homog.Interval{Lo: min(iv.Lo, lo), Hi: max(iv.Hi, hi)}
 			}
-			out = append(out, Square{X: x, Y: y, Size: s, IV: iv})
+			dst = append(dst, Square{X: x, Y: y, Size: s, IV: iv})
 		}
 	}
-	return out
+	return dst
 }
 
 // Validate checks the structural invariants of a split result against the

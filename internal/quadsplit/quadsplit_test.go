@@ -6,6 +6,7 @@ import (
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 )
 
 // paperFigure1 is the 4×4 image of the paper's Figure 1, evaluated with
@@ -182,6 +183,78 @@ func TestSplitInvariantsOnRandomImages(t *testing.T) {
 		res := Split(im, homog.NewRange(tVal), Options{MaxSquare: capOpt})
 		return Validate(res, im, homog.NewRange(tVal)) == nil
 	}, &quick.Config{MaxCount: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// squaresOracle is the per-pixel reference for AppendSquares: every root
+// pixel in raster order, its interval folded pixel by pixel with Union.
+func squaresOracle(r *Result, im *pixmap.Image) []Square {
+	var out []Square
+	for y := 0; y < r.H; y++ {
+		for x := 0; x < r.W; x++ {
+			i := y*r.W + x
+			if r.Labels[i] != int32(i) {
+				continue
+			}
+			s := int(r.Size[i])
+			iv := homog.Empty()
+			for yy := y; yy < y+s; yy++ {
+				for xx := x; xx < x+s; xx++ {
+					iv = iv.Union(homog.Point(im.At(xx, yy)))
+				}
+			}
+			out = append(out, Square{X: x, Y: y, Size: s, IV: iv})
+		}
+	}
+	return out
+}
+
+// blockyImage is a w×h image of random plateaus 2^k pixels wide with a
+// little noise on top, so splits produce squares of every size.
+func blockyImage(w, h int, seed uint64) *pixmap.Image {
+	im := pixmap.New(w, h)
+	block := 1 << (seed % 5)
+	noise := prand.New(seed)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			plateau := prand.Hash2(seed, uint64((y/block)*w+x/block)) % 200
+			im.Set(x, y, uint8(plateau+noise.Uint64()%4))
+		}
+	}
+	return im
+}
+
+// TestSquaresMatchesPerPixelOracle: the row-packed square enumeration
+// equals the per-pixel union on random geometries, thresholds and caps,
+// including 1-row and 1-column strips.
+func TestSquaresMatchesPerPixelOracle(t *testing.T) {
+	err := quick.Check(func(seed uint64, wRaw, hRaw, tRaw, capRaw uint8) bool {
+		w, h := 1+int(wRaw%90), 1+int(hRaw%90)
+		switch seed % 8 { // strips one pixel thick
+		case 0:
+			h = 1
+		case 1:
+			w = 1
+		}
+		im := blockyImage(w, h, seed)
+		capOpt := []int{0, Unbounded, 1, 2, 8, 32}[capRaw%6]
+		res := Split(im, homog.NewRange(int(tRaw%16)), Options{MaxSquare: capOpt})
+		got, want := res.Squares(im), squaresOracle(res, im)
+		if len(got) != len(want) || len(got) != res.NumSquares {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		// AppendSquares extends a reused buffer without disturbing it.
+		prefix := []Square{{X: -1}}
+		again := res.AppendSquares(prefix, im)
+		return len(again) == len(want)+1 && again[0].X == -1 && again[len(again)-1] == want[len(want)-1]
+	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

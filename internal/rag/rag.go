@@ -343,9 +343,9 @@ const buildCheckRows = 64
 // The builder is run-length: label arrays out of the split stage are long
 // horizontal runs (one per square per row), so vertices accrue one
 // interval union per run (via the packed SWAR row scan) instead of one
-// per pixel, horizontal edges one AddEdge per run boundary, and vertical
-// edges one AddEdge per overlap segment of the two rows' run structures.
-// The result is identical to the per-pixel build for arbitrary labels.
+// per pixel, and edges come from AppendEdges — one pair per run boundary
+// or overlap segment, not per pixel pair. The result is identical to the
+// per-pixel build for arbitrary labels.
 func BuildFromLabelsCtx(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
 	w, h := im.W, im.H
 	if len(labels) != w*h {
@@ -371,41 +371,70 @@ func BuildFromLabelsCtx(ctx context.Context, im *pixmap.Image, labels []int32, c
 			x = x1
 		}
 	}
-	for y := 0; y < h; y++ {
-		if y%buildCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	var edges []Edge
+	for y := 0; y < h; y += buildCheckRows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		row := labels[y*w : y*w+w]
-		for x := 0; x+1 < w; {
-			lab := row[x]
-			x1 := x + 1
-			for x1 < w && row[x1] == lab {
-				x1++
-			}
-			if x1 < w {
-				g.AddEdge(lab, row[x1]) // runs end exactly at label changes
-			}
-			x = x1
-		}
-		if y+1 >= h {
-			continue
-		}
-		rowB := labels[(y+1)*w : (y+2)*w]
-		for x := 0; x < w; {
-			la, lb := row[x], rowB[x]
-			x1 := x + 1
-			for x1 < w && row[x1] == la && rowB[x1] == lb {
-				x1++
-			}
-			if la != lb {
-				g.AddEdge(la, lb)
-			}
-			x = x1
+		edges = AppendEdges(edges[:0], labels, w, y, min(y+buildCheckRows, h))
+		for _, e := range edges {
+			g.AddEdge(e.A, e.B)
 		}
 	}
 	return g, nil
+}
+
+// Edge is one adjacency between two distinct region labels.
+type Edge struct{ A, B int32 }
+
+// AppendEdges appends to dst the 4-adjacencies that rows [y0, y1) of a
+// width-w label raster contribute — a horizontal pair at each run
+// boundary of every row, and the vertical pairs (AppendVerticalEdges)
+// between every row and the next one in labels — and returns the
+// extended slice. It is the run-length edge scan every graph builder
+// shares.
+//
+// Every adjacency of the rows appears at least once; a horizontal pair
+// the previous scanned row already produced at the same boundary is
+// skipped, so two side-by-side squares yield one pair, not one per row.
+// Graph.AddEdge coalesces the duplicates that remain.
+func AppendEdges(dst []Edge, labels []int32, w, y0, y1 int) []Edge {
+	for y := y0; y < y1; y++ {
+		row := labels[y*w : y*w+w]
+		var above []int32
+		if y > y0 {
+			above = labels[(y-1)*w : y*w]
+		}
+		for x := 1; x < w; x++ {
+			a, b := row[x-1], row[x]
+			if a == b || above != nil && above[x-1] == a && above[x] == b {
+				continue
+			}
+			dst = append(dst, Edge{a, b})
+		}
+		if (y+2)*w <= len(labels) {
+			dst = AppendVerticalEdges(dst, row, labels[(y+1)*w:(y+2)*w])
+		}
+	}
+	return dst
+}
+
+// AppendVerticalEdges appends one pair per overlap segment of two stacked
+// label rows of equal width whose labels differ, and returns the
+// extended slice.
+func AppendVerticalEdges(dst []Edge, upper, lower []int32) []Edge {
+	for x := 0; x < len(upper); {
+		a, b := upper[x], lower[x]
+		x1 := x + 1
+		for x1 < len(upper) && upper[x1] == a && lower[x1] == b {
+			x1++
+		}
+		if a != b {
+			dst = append(dst, Edge{a, b})
+		}
+		x = x1
+	}
+	return dst
 }
 
 // Absorb grafts every live vertex and edge of other into g, unioning

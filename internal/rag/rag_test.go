@@ -6,6 +6,7 @@ import (
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 )
 
 func crit(t int) homog.Criterion { return homog.NewRange(t) }
@@ -33,6 +34,79 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 	}
 	if g.ActiveEdges() != 0 {
 		t.Fatal("inhomogeneous edge counted active")
+	}
+}
+
+// TestBuildFromLabelsMatchesPerPixel: the run-length builder equals the
+// per-pixel reference — every pixel its own AddVertex, every differing
+// 4-neighbour pair its own AddEdge — on random labels that need not be
+// squares (plateaus with scattered single-pixel labels), including
+// 1-row and 1-column rasters.
+func TestBuildFromLabelsMatchesPerPixel(t *testing.T) {
+	err := quick.Check(func(seed uint64, wRaw, hRaw, kRaw uint8) bool {
+		w, h := 1+int(wRaw%40), 1+int(hRaw%40)
+		switch seed % 6 {
+		case 0:
+			h = 1
+		case 1:
+			w = 1
+		}
+		rng := prand.New(seed)
+		im := pixmap.New(w, h)
+		labels := make([]int32, w*h)
+		block := 1 + int(kRaw%6)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				i := y*w + x
+				im.Pix[i] = uint8(rng.Uint64())
+				labels[i] = int32(prand.Hash2(seed, uint64((y/block)*w+x/block)) % 7)
+				if rng.Intn(10) == 0 {
+					labels[i] = int32(rng.Intn(w * h))
+				}
+			}
+		}
+		want := NewGraph(crit(20))
+		var pairs []Edge
+		for i, lab := range labels {
+			want.AddVertex(lab, homog.Point(im.Pix[i]))
+			if x := i % w; x+1 < w && labels[i+1] != lab {
+				pairs = append(pairs, Edge{lab, labels[i+1]})
+			}
+			if i+w < len(labels) && labels[i+w] != lab {
+				pairs = append(pairs, Edge{lab, labels[i+w]})
+			}
+		}
+		for _, e := range pairs {
+			want.AddEdge(e.A, e.B)
+		}
+		got := BuildFromLabels(im, labels, crit(20))
+		if got.Slots() != want.Slots() || got.NumEdges() != want.NumEdges() {
+			return false
+		}
+		for s := 0; s < got.Slots(); s++ {
+			if got.SlotID(s) != want.SlotID(s) || got.SlotInterval(s) != want.SlotInterval(s) {
+				return false
+			}
+		}
+		for _, e := range pairs {
+			if !got.HasEdge(e.A, e.B) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildFromLabelsEmpty: zero-width and zero-height rasters build an
+// empty graph.
+func TestBuildFromLabelsEmpty(t *testing.T) {
+	for _, im := range []*pixmap.Image{pixmap.New(0, 3), pixmap.New(3, 0)} {
+		if g := BuildFromLabels(im, nil, crit(5)); g.NumVertices() != 0 || g.NumEdges() != 0 {
+			t.Fatalf("%dx%d: %d vertices, %d edges", im.W, im.H, g.NumVertices(), g.NumEdges())
+		}
 	}
 }
 

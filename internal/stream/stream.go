@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
@@ -129,30 +131,110 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	return res, nil
 }
 
-// ingest runs pass 1: stream bands in, split each, assemble the global
-// RAG incrementally (stitching across band boundaries through the
-// retained frontier row), and spill each band's square list to the spool.
-// It returns the per-band square counts that delimit the spool on replay.
+// bandSummary is what the split stage hands the graph stage for one band:
+// the band's squares in raster order, its adjacencies — intra-band pairs
+// from the run-length scan plus the pairs stitched against the previous
+// band's last row — and its split iteration count. IDs are global; none
+// of the band's pixels or labels cross over.
+type bandSummary struct {
+	y0         int
+	iterations int
+	squares    []quadsplit.Square // band-local coordinates
+	edges      []rag.Edge
+}
+
+// ingest runs pass 1 as a two-stage pipeline. A producer goroutine reads,
+// splits and summarises the bands in order (produce); the calling
+// goroutine takes the summaries in that same order over one FIFO channel,
+// adds the squares to the global RAG in raster order — so slot order, and
+// with it every merge decision, is independent of the scheduling —
+// spills them to the spool, and adds the band's edges. Two summaries
+// circulate between the stages, so the split of band k+1 overlaps the
+// graph assembly of band k. It returns the per-band square counts that
+// delimit the spool on replay.
 func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]int, error) {
-	width, height := res.W, res.H
+	width := res.W
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Result; never reaches labels or output bytes
 
-	sw := bufio.NewWriterSize(spool, 1<<16)
-	bandPix := make([]uint8, width*bandRows)
-	frontier := make([]int32, width) // previous band's last row, global labels
-	var bandSquares []int
-	var rec [spoolRecordSize]byte
-	crit := cfg.Criterion()
 	sc := run.SplitScratch()
+	if sc == nil {
+		sc = new(quadsplit.Scratch)
+	}
+	// free holds every summary not in flight: two, so the producer can
+	// fill one while the caller drains the other.
+	free := make(chan *bandSummary, 2)
+	free <- new(bandSummary)
+	free <- new(bandSummary)
+	full := make(chan *bandSummary, 1)
+	pctx, cancel := context.WithCancel(ctx)
+	var perr error
+	go func() {
+		defer close(full)
+		perr = produce(pctx, sr, cfg.Criterion(), sc, cap, bandRows, free, full)
+	}()
+	// Every return path stops the producer and waits for it to close
+	// full, so no goroutine outlives the call.
+	defer func() {
+		cancel()
+		for range full {
+		}
+	}()
 
-	for y0 := 0; y0 < height; {
+	sw := bufio.NewWriterSize(spool, 1<<16)
+	var recs []byte
+	var bandSquares []int
+	for sum := range full {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		recs = recs[:0]
+		for _, sq := range sum.squares {
+			gid := int32((sum.y0+sq.Y)*width + sq.X)
+			g.AddVertex(gid, sq.IV)
+			recs = binary.LittleEndian.AppendUint32(recs, uint32(gid))
+			recs = binary.LittleEndian.AppendUint32(recs, uint32(sq.Size))
+		}
+		if _, err := sw.Write(recs); err != nil {
+			return nil, fmt.Errorf("stream: writing spool: %w", err)
+		}
+		for _, e := range sum.edges {
+			g.AddEdge(e.A, e.B)
+		}
+		res.SplitIterations = max(res.SplitIterations, sum.iterations)
+		res.SquaresAfterSplit += len(sum.squares)
+		res.Bands++
+		bandSquares = append(bandSquares, len(sum.squares))
+		free <- sum // never blocks: free has room for every summary
+	}
+	if perr != nil {
+		return nil, perr
+	}
+	if err := sw.Flush(); err != nil {
+		return nil, fmt.Errorf("stream: flushing spool: %w", err)
+	}
+	res.SplitWall = time.Since(t0) //vet:timing stage wall-time for Result; never reaches labels or output bytes
+	run.Emit(core.StageEvent{Kind: core.EventSplitDone, Iterations: res.SplitIterations, Squares: res.SquaresAfterSplit})
+	return bandSquares, nil
+}
+
+// produce is the pipeline's split stage. It owns the reader, the split
+// scratch and the one pixel band: for each band in order it reads the
+// rows, splits them, and fills a summary taken from free with the band's
+// squares and global-ID edges, then hands it on through full. It returns
+// when the image is done, on the first error, or when ctx is cancelled.
+func produce(ctx context.Context, sr *pixmap.StreamReader, crit homog.Criterion, sc *quadsplit.Scratch, cap, bandRows int, free <-chan *bandSummary, full chan<- *bandSummary) error {
+	width, height := sr.Width(), sr.Height()
+	bandPix := make([]uint8, width*bandRows)
+	frontier := make([]int32, width) // previous band's last row, global labels
+	first := make([]int32, width)
+	for y0 := 0; y0 < height; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		bh := min(bandRows, height-y0)
 		if err := sr.ReadRows(bandPix, bh); err != nil {
-			return nil, err
+			return err
 		}
 		band := &pixmap.Image{W: width, H: bh, Pix: bandPix[:width*bh]}
 		// The cap was resolved against the full image; a short final band
@@ -161,60 +243,43 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 		// the band.
 		sp, err := quadsplit.SplitCtx(ctx, band, crit, quadsplit.Options{MaxSquare: cap, Scratch: sc})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.SplitIterations = max(res.SplitIterations, sp.Iterations)
-		res.SquaresAfterSplit += sp.NumSquares
-
-		// Vertices with global IDs, spilled to the spool as they appear.
-		for _, sq := range sp.Squares(band) {
-			gid := int32((y0+sq.Y)*width + sq.X)
-			g.AddVertex(gid, sq.IV)
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(gid))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(sq.Size))
-			if _, err := sw.Write(rec[:]); err != nil {
-				return nil, fmt.Errorf("stream: writing spool: %w", err)
-			}
+		var sum *bandSummary
+		select {
+		case sum = <-free:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		bandSquares = append(bandSquares, sp.NumSquares)
+		sum.y0, sum.iterations = y0, sp.Iterations
+		sum.squares = sp.AppendSquares(sum.squares[:0], band)
 
-		// Intra-band adjacency, shifted into global ID space.
+		// Intra-band adjacency, shifted into global ID space, then the
+		// stitch against the previous band's boundary row.
 		off := int32(y0 * width)
-		labels := sp.Labels
-		for ly := 0; ly < bh; ly++ {
-			row := ly * width
-			for lx := 0; lx < width; lx++ {
-				a := labels[row+lx]
-				if lx+1 < width {
-					if b := labels[row+lx+1]; a != b {
-						g.AddEdge(a+off, b+off)
-					}
-				}
-				if ly+1 < bh {
-					if b := labels[row+width+lx]; a != b {
-						g.AddEdge(a+off, b+off)
-					}
-				}
-			}
+		sum.edges = rag.AppendEdges(sum.edges[:0], sp.Labels, width, 0, bh)
+		for i := range sum.edges {
+			sum.edges[i].A += off
+			sum.edges[i].B += off
 		}
-		// Stitch against the previous band's boundary row, then retire the
-		// band: only the new frontier strip survives.
-		for lx := 0; lx < width; lx++ {
-			b := labels[lx] + off
-			if y0 > 0 && frontier[lx] != b {
-				g.AddEdge(frontier[lx], b)
+		if y0 > 0 {
+			for lx, lab := range sp.Labels[:width] {
+				first[lx] = lab + off
 			}
-			frontier[lx] = labels[(bh-1)*width+lx] + off
+			sum.edges = rag.AppendVerticalEdges(sum.edges, frontier, first)
+		}
+		for lx, lab := range sp.Labels[(bh-1)*width : bh*width] {
+			frontier[lx] = lab + off
+		}
+
+		select {
+		case full <- sum:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 		y0 += bh
-		res.Bands++
 	}
-	if err := sw.Flush(); err != nil {
-		return nil, fmt.Errorf("stream: flushing spool: %w", err)
-	}
-	res.SplitWall = time.Since(t0) //vet:timing stage wall-time for Result; never reaches labels or output bytes
-	run.Emit(core.StageEvent{Kind: core.EventSplitDone, Iterations: res.SplitIterations, Squares: res.SquaresAfterSplit})
-	return bandSquares, nil
+	return nil
 }
 
 // emit runs pass 2: replay the spool band by band, resolve every square's
@@ -243,7 +308,7 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 	}
 
 	var pgm *pixmap.StreamWriter
-	var bw *bufio.Writer
+	var enc *labelEncoder
 	var outPix []uint8
 	var outLab []int32
 	switch output {
@@ -254,8 +319,8 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 		}
 		outPix = make([]uint8, width*bandRows)
 	case OutputLabels:
-		bw = bufio.NewWriterSize(w, 1<<16)
-		if err := writeLabelHeader(bw, width, height); err != nil {
+		var err error
+		if enc, err = newLabelEncoder(w, width, height); err != nil {
 			return err
 		}
 		outLab = make([]int32, width*bandRows)
@@ -264,17 +329,18 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 	}
 
 	find := make(map[int32]int32, g.NumVertices())
-	var rec [spoolRecordSize]byte
+	var recs []byte
 	y0 := 0
 	for bi, count := range bandSquares {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		bh := min(bandRows, height-y0)
-		for k := 0; k < count; k++ {
-			if _, err := io.ReadFull(rd, rec[:]); err != nil {
-				return fmt.Errorf("stream: reading spool band %d: %w", bi, err)
-			}
+		recs = slices.Grow(recs[:0], count*spoolRecordSize)[:count*spoolRecordSize]
+		if _, err := io.ReadFull(rd, recs); err != nil {
+			return fmt.Errorf("stream: reading spool band %d: %w", bi, err)
+		}
+		for rec := recs; len(rec) > 0; rec = rec[spoolRecordSize:] {
 			gid := int32(binary.LittleEndian.Uint32(rec[0:4]))
 			size := int(binary.LittleEndian.Uint32(rec[4:8]))
 			final, ok := find[gid]
@@ -308,23 +374,15 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 			if err := pgm.WriteRows(outPix[:bh*width]); err != nil {
 				return err
 			}
-		} else {
-			for _, lab := range outLab[:bh*width] {
-				binary.LittleEndian.PutUint32(rec[0:4], uint32(lab))
-				if _, err := bw.Write(rec[0:4]); err != nil {
-					return fmt.Errorf("stream: writing labels: %w", err)
-				}
-			}
+		} else if err := enc.writeRows(outLab[:bh*width]); err != nil {
+			return err
 		}
 		y0 += bh
 	}
 	if output == OutputRecolour {
 		return pgm.Close()
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("stream: flushing labels: %w", err)
-	}
-	return nil
+	return enc.flush()
 }
 
 // writeEmpty emits the output header of a zero-pixel image.
@@ -356,18 +414,54 @@ func EncodeLabels(w io.Writer, width, height int, labels []int32) error {
 	if len(labels) != width*height {
 		return fmt.Errorf("stream: %d labels for %dx%d raster", len(labels), width, height)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeLabelHeader(bw, width, height); err != nil {
+	enc, err := newLabelEncoder(w, width, height)
+	if err != nil {
 		return err
 	}
-	var rec [4]byte
-	for _, lab := range labels {
-		binary.LittleEndian.PutUint32(rec[:], uint32(lab))
-		if _, err := bw.Write(rec[:]); err != nil {
+	if err := enc.writeRows(labels); err != nil {
+		return err
+	}
+	return enc.flush()
+}
+
+// labelEncoder writes a label raster in the OutputLabels wire format — the
+// header, then W·H little-endian int32 region IDs in raster order — one
+// row at a time through a reused 4·W byte buffer. EncodeLabels and the
+// streaming emit share it, so the two can only produce the same bytes.
+type labelEncoder struct {
+	bw  *bufio.Writer
+	row []byte
+}
+
+// newLabelEncoder writes the header of a width×height raster to w and
+// returns the encoder for its rows.
+func newLabelEncoder(w io.Writer, width, height int) (*labelEncoder, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if err := writeLabelHeader(bw, width, height); err != nil {
+		return nil, err
+	}
+	return &labelEncoder{bw: bw, row: make([]byte, 4*max(width, 1))}, nil
+}
+
+// writeRows encodes the next labels in raster order, one row-sized chunk
+// per Write.
+func (e *labelEncoder) writeRows(labels []int32) error {
+	for len(labels) > 0 {
+		n := min(len(labels), len(e.row)/4)
+		for i, lab := range labels[:n] {
+			binary.LittleEndian.PutUint32(e.row[4*i:], uint32(lab))
+		}
+		if _, err := e.bw.Write(e.row[:4*n]); err != nil {
 			return fmt.Errorf("stream: writing labels: %w", err)
 		}
+		labels = labels[n:]
 	}
-	if err := bw.Flush(); err != nil {
+	return nil
+}
+
+// flush writes out everything buffered.
+func (e *labelEncoder) flush() error {
+	if err := e.bw.Flush(); err != nil {
 		return fmt.Errorf("stream: flushing labels: %w", err)
 	}
 	return nil

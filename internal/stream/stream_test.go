@@ -3,12 +3,18 @@ package stream
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
 )
@@ -111,6 +117,183 @@ func TestStreamMatchesSequential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// blockyImage is a w×h image of random plateaus 2^k pixels wide with a
+// little noise on top, so splits produce squares of every size and merges
+// have both homogeneous and inhomogeneous neighbours to choose from.
+func blockyImage(w, h int, seed uint64) *pixmap.Image {
+	im := pixmap.New(w, h)
+	block := 1 << (seed % 5)
+	noise := prand.New(seed)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			plateau := prand.Hash2(seed, uint64((y/block)*w+x/block)) % 200
+			im.Set(x, y, uint8(plateau+noise.Uint64()%6))
+		}
+	}
+	return im
+}
+
+// TestStreamMatchesSequentialRandom is the random-input differential:
+// random geometries from 1 to 200 pixels a side (1-row and 1-column
+// strips included), random threshold, tie policy, seed and cap, and band
+// heights giving one band, one cap per band, a ragged last band, or an
+// arbitrary request. Both output formats must be byte-identical to the
+// sequential engine.
+func TestStreamMatchesSequentialRandom(t *testing.T) {
+	err := quick.Check(func(seed uint64, wRaw, hRaw, tRaw, capRaw, bandRaw uint8) bool {
+		w, h := 1+int(wRaw)%200, 1+int(hRaw)%200
+		switch seed % 8 {
+		case 0:
+			h = 1
+		case 1:
+			w = 1
+		}
+		im := blockyImage(w, h, seed)
+		cfg := core.Config{
+			Threshold: int(tRaw % 24),
+			Tie:       rag.AllTiePolicies()[(seed/8)%3],
+			Seed:      seed,
+			MaxSquare: []int{0, quadsplit.Unbounded, 1, 2, 4, 16, 64}[capRaw%7],
+		}
+		cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, w, h)
+		bandRows := []int{h, 0, 3 * cap, int(bandRaw)}[bandRaw%4]
+		seg := sequentialSeg(t, im, cfg)
+		var pgm bytes.Buffer
+		if err := pixmap.WritePGM(&pgm, im); err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []struct {
+			output Output
+			want   []byte
+		}{
+			{OutputLabels, labelBytes(t, seg)},
+			{OutputRecolour, recolourBytes(t, seg, im)},
+		} {
+			var got bytes.Buffer
+			res, err := Segment(context.Background(), bytes.NewReader(pgm.Bytes()), &got,
+				cfg, core.Run{}, Options{BandRows: bandRows, Output: out.output})
+			if err != nil {
+				t.Logf("%dx%d %+v bands=%d: %v", w, h, cfg, bandRows, err)
+				return false
+			}
+			if !bytes.Equal(got.Bytes(), out.want) || res.FinalRegions != seg.FinalRegions ||
+				res.MergeIterations != seg.MergeIterations || res.SquaresAfterSplit != seg.SquaresAfterSplit {
+				t.Logf("%dx%d %+v bands=%d output=%d differs from the sequential engine", w, h, cfg, bandRows, out.output)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back at its baseline,
+// failing with a stack dump if it does not settle: a failed run must not
+// leave its split stage behind.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked: %d -> %d\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// cancellingReader serves its input in small reads and cancels the run's
+// context once limit bytes have gone out — a cancel landing mid-ingest.
+type cancellingReader struct {
+	r      io.Reader
+	limit  int
+	read   int
+	cancel context.CancelFunc
+}
+
+func (c *cancellingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p[:min(len(p), 256)])
+	c.read += n
+	if c.read >= c.limit {
+		c.cancel()
+	}
+	return n, err
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+var errWrite = errors.New("output closed")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		n := f.limit
+		f.limit = 0
+		return n, errWrite
+	}
+	f.limit -= len(p)
+	return len(p), nil
+}
+
+// TestStreamPipelineFailures drives each way a run can fail with the
+// split stage in flight — the input ends mid-band, the context is
+// cancelled during ingest, the output stops accepting bytes — and checks
+// that Segment returns the failure and no goroutine outlives it.
+func TestStreamPipelineFailures(t *testing.T) {
+	im := blockyImage(96, 160, 3)
+	var pgm bytes.Buffer
+	if err := pixmap.WritePGM(&pgm, im); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 5, MaxSquare: 8} // 20 bands of 8 rows
+	header := pgm.Len() - len(im.Pix)
+
+	t.Run("truncated-mid-band", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		cut := pgm.Bytes()[:header+im.W*(8*9+3)] // three rows into band 10
+		var out bytes.Buffer
+		_, err := Segment(context.Background(), bytes.NewReader(cut), &out, cfg, core.Run{}, Options{})
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("err = %v, want unexpected EOF", err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("failed ingest wrote %d output bytes", out.Len())
+		}
+		waitGoroutines(t, baseline)
+	})
+	t.Run("cancel-during-ingest", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		r := &cancellingReader{r: bytes.NewReader(pgm.Bytes()), limit: header + im.W*8*4, cancel: cancel}
+		var out bytes.Buffer
+		_, err := Segment(ctx, r, &out, cfg, core.Run{}, Options{})
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if r.read >= pgm.Len() {
+			t.Fatal("the whole input was read: the cancel did not land mid-ingest")
+		}
+		if out.Len() != 0 {
+			t.Fatalf("cancelled run wrote %d output bytes", out.Len())
+		}
+		waitGoroutines(t, baseline)
+	})
+	for _, output := range []Output{OutputLabels, OutputRecolour} {
+		t.Run(fmt.Sprintf("emit-write-error/%d", output), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			_, err := Segment(context.Background(), bytes.NewReader(pgm.Bytes()), &failingWriter{limit: 100},
+				cfg, core.Run{}, Options{Output: output})
+			if !errors.Is(err, errWrite) {
+				t.Fatalf("err = %v, want the writer's error", err)
+			}
+			waitGoroutines(t, baseline)
+		})
 	}
 }
 
