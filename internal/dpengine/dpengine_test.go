@@ -1,6 +1,7 @@
 package dpengine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -195,5 +196,60 @@ func TestEmptyImage(t *testing.T) {
 	}
 	if seg.FinalRegions != 0 {
 		t.Fatalf("empty image: %d regions", seg.FinalRegions)
+	}
+}
+
+// TestPaperTablePins pins what the paper tables report for the
+// data-parallel rows: simulated split and merge times, bit for bit, on
+// CM-2 8K, CM-2 16K and CM-5 CM Fortran, plus the split and merge counts
+// behind them, for all six paper images. A change that moves any of them
+// changes the tables and must say why.
+func TestPaperTablePins(t *testing.T) {
+	machines := []machine.ConfigID{machine.CM2_8K, machine.CM2_16K, machine.CM5_CMF}
+	cases := []struct {
+		id                  pixmap.PaperImageID
+		splitIters, squares int
+		mergeIters, regions int
+		mergesPerIter       []int
+		sim                 [3][2]float64 // {SplitSim, MergeSim} per entry of machines
+	}{
+		{pixmap.Image1NestedRects128, 4, 532, 31, 2,
+			[]int{62, 66, 55, 48, 49, 30, 22, 34, 26, 16, 11, 12, 14, 12, 11, 9, 9, 3, 5, 5, 6, 5, 3, 3, 2, 4, 2, 1, 2, 2, 1},
+			[3][2]float64{{0.19988700000000015, 9.356113000000049}, {0.11197000000000017, 8.474094000000106}, {0.5158483999999984, 22.599796850000146}}},
+		{pixmap.Image2Rects128, 4, 208, 17, 7,
+			[]int{46, 27, 21, 22, 20, 15, 12, 9, 9, 7, 2, 3, 3, 2, 1, 1, 1},
+			[3][2]float64{{0.19988700000000015, 4.517580999999999}, {0.11197000000000017, 4.011821000000015}, {0.5158483999999984, 12.456947349999844}}},
+		{pixmap.Image3Circles128, 4, 1735, 44, 11,
+			[]int{231, 206, 148, 150, 116, 117, 95, 84, 88, 61, 57, 51, 46, 37, 27, 29, 28, 20, 22, 18, 17, 13, 8, 10, 8, 4, 5, 2, 2, 4, 2, 1, 1, 4, 1, 3, 0, 4, 2, 0, 0, 0, 1, 1},
+			[3][2]float64{{0.19988700000000015, 14.495371000000437}, {0.11197000000000017, 12.824590000000045}, {0.5158483999999984, 33.83796810000049}}},
+		{pixmap.Image4NestedRects256, 5, 1096, 42, 2,
+			[]int{135, 124, 100, 101, 79, 76, 58, 58, 42, 35, 33, 30, 27, 22, 21, 23, 16, 13, 14, 8, 11, 11, 5, 7, 6, 5, 4, 4, 3, 6, 1, 5, 1, 2, 2, 1, 1, 0, 1, 1, 1, 1},
+			[3][2]float64{{1.0073680000000023, 18.010197999999978}, {0.5287079999999994, 14.571606000000093}, {2.1731234000000055, 37.26386020000031}}},
+		{pixmap.Image5Rects256, 5, 208, 20, 7,
+			[]int{41, 29, 27, 20, 13, 17, 12, 8, 9, 7, 4, 2, 3, 3, 1, 1, 1, 1, 1, 1},
+			[3][2]float64{{1.0073680000000023, 7.538143000000006}, {0.5287079999999994, 5.634821000000037}, {2.1731234000000055, 17.600730549999824}}},
+		{pixmap.Image6Tool256, 5, 1306, 33, 4,
+			[]int{168, 143, 128, 127, 90, 80, 67, 74, 56, 42, 47, 43, 33, 37, 24, 21, 25, 12, 13, 13, 12, 8, 6, 5, 4, 5, 8, 3, 1, 2, 2, 2, 1},
+			[3][2]float64{{1.0073680000000023, 15.001523000000036}, {0.5287079999999994, 12.17430900000008}, {2.1731234000000055, 30.301055200000178}}},
+	}
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
+	for _, c := range cases {
+		im := pixmap.Generate(c.id, pixmap.DefaultGenOptions())
+		for k, mc := range machines {
+			seg, err := newEngine(t, mc).Segment(im, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg.SplitSim != c.sim[k][0] || seg.MergeSim != c.sim[k][1] {
+				t.Errorf("%v/%v: sim %v/%v, want %v/%v", mc, c.id, seg.SplitSim, seg.MergeSim, c.sim[k][0], c.sim[k][1])
+			}
+			if seg.SplitIterations != c.splitIters || seg.SquaresAfterSplit != c.squares {
+				t.Errorf("%v/%v: split %d iterations, %d squares; want %d, %d", mc, c.id, seg.SplitIterations, seg.SquaresAfterSplit, c.splitIters, c.squares)
+			}
+			if seg.MergeIterations != c.mergeIters || seg.FinalRegions != c.regions || !slices.Equal(seg.MergesPerIter, c.mergesPerIter) {
+				t.Errorf("%v/%v: merge %d iterations, %d regions, merges %v; want %d, %d, %v", mc, c.id,
+					seg.MergeIterations, seg.FinalRegions, seg.MergesPerIter, c.mergeIters, c.regions, c.mergesPerIter)
+			}
+		}
 	}
 }
