@@ -98,7 +98,8 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 type splitState struct {
 	iterations int
 	numSquares int
-	label      *simdvm.Grid // per-pixel region ID (origin pixel index)
+	label      *simdvm.Grid     // per-pixel region ID (origin pixel index)
+	origins    *simdvm.BoolGrid // square origins: where label is the pixel's own index
 }
 
 // split is step 1: strided quad-block combining on 2-D grids.
@@ -177,7 +178,8 @@ func (e *Engine) split(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 		claimed = claimed.Or(take)
 	}
 	st.label = label
-	st.numSquares = label.Eq(m.SelfIndex(w, h)).Count()
+	st.origins = label.Eq(m.SelfIndex(w, h))
+	st.numSquares = st.origins.Count()
 	return st, nil
 }
 
@@ -190,15 +192,18 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 	label := sp.label
 
 	// Step 2a: vertex arrays in the pixel domain, indexed by region ID.
-	// Region intervals via combining router sends of every pixel's value
-	// to its region's origin.
+	// Only the square origins hold live vertex data, so the arrays are
+	// stored at those positions alone; every op is still charged over all
+	// n pixels. Region intervals via combining router sends of every
+	// pixel's value to its region's origin.
+	vertices := m.SparseLayout(sp.origins)
 	pixVec := m.GridFromImage(im).Flatten()
 	labelVec := label.Flatten()
 	allPix := m.NewBoolVec(n)
 	allPix.Fill(true)
-	vlo := m.NewVec(n)
+	vlo := vertices.NewVec()
 	vlo.Fill(inf)
-	vhi := m.NewVec(n)
+	vhi := vertices.NewVec()
 	vhi.Fill(-inf)
 	vlo.ScatterMinWhere(allPix, labelVec, pixVec)
 	vhi.ScatterMaxWhere(allPix, labelVec, pixVec)
@@ -221,8 +226,8 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 
 	// Representative array for the pixel domain (region IDs point at
 	// themselves until merged away).
-	rep := m.IotaVec(n)
-	iota := m.IotaVec(n)
+	rep := vertices.IotaVec()
+	iota := vertices.IotaVec()
 
 	var stats rag.MergeStats
 	stalls := 0
@@ -273,7 +278,7 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 
 		// Step 3c: scatter choices to the vertex domain and detect mutual
 		// pairs with a router round-trip.
-		choice := m.NewVec(n)
+		choice := vertices.NewVec()
 		choice.Fill(-1)
 		choice.ScatterWhere(selected, src, dst)
 		hasChoice := choice.NeC(-1)

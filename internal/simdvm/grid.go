@@ -2,7 +2,7 @@ package simdvm
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"regiongrow/internal/pixmap"
 )
@@ -106,11 +106,7 @@ func (g *Grid) Clone() *Grid {
 // Fill sets every element to c.
 func (g *Grid) Fill(c int32) {
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.v[i] = c
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { fill(g.v[lo:hi], c) })
 }
 
 // AssignWhere copies src into g at positions where mask is true — the CM
@@ -121,13 +117,7 @@ func (g *Grid) AssignWhere(mask *BoolGrid, src *Grid) {
 	checkLen("AssignWhere", len(g.v), len(mask.v))
 	checkLen("AssignWhere", len(g.v), len(src.v))
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask.v[i] {
-				g.v[i] = src.v[i]
-			}
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { assignWhere(g.v[lo:hi], mask.v[lo:hi], src.v[lo:hi]) })
 }
 
 // FillWhere sets elements to c where mask is true.
@@ -135,131 +125,80 @@ func (g *Grid) FillWhere(mask *BoolGrid, c int32) {
 	g.m.sameMachine(mask.m)
 	checkLen("FillWhere", len(g.v), len(mask.v))
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask.v[i] {
-				g.v[i] = c
-			}
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { fillWhere(g.v[lo:hi], mask.v[lo:hi], c) })
 }
 
-// binOp applies f elementwise over g and other into a fresh grid.
-func (g *Grid) binOp(op string, other *Grid, f func(a, b int32) int32) *Grid {
+// binOp applies op elementwise over g and other into a fresh grid.
+func (g *Grid) binOp(name string, op arith, other *Grid) *Grid {
 	g.m.sameMachine(other.m)
-	checkLen(op, len(g.v), len(other.v))
+	checkLen(name, len(g.v), len(other.v))
 	out := g.m.NewGrid(g.W, g.H)
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = f(g.v[i], other.v[i])
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { arithVV(op, out.v[lo:hi], g.v[lo:hi], other.v[lo:hi]) })
 	return out
 }
 
 // Min returns the elementwise minimum of two grids.
-func (g *Grid) Min(other *Grid) *Grid {
-	return g.binOp("Min", other, func(a, b int32) int32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
+func (g *Grid) Min(other *Grid) *Grid { return g.binOp("Min", opMin, other) }
 
 // Max returns the elementwise maximum of two grids.
-func (g *Grid) Max(other *Grid) *Grid {
-	return g.binOp("Max", other, func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+func (g *Grid) Max(other *Grid) *Grid { return g.binOp("Max", opMax, other) }
 
 // Sub returns the elementwise difference g − other.
-func (g *Grid) Sub(other *Grid) *Grid {
-	return g.binOp("Sub", other, func(a, b int32) int32 { return a - b })
-}
+func (g *Grid) Sub(other *Grid) *Grid { return g.binOp("Sub", opSub, other) }
 
 // Add returns the elementwise sum.
-func (g *Grid) Add(other *Grid) *Grid {
-	return g.binOp("Add", other, func(a, b int32) int32 { return a + b })
-}
+func (g *Grid) Add(other *Grid) *Grid { return g.binOp("Add", opAdd, other) }
 
 // MulC returns the grid scaled by constant c.
-func (g *Grid) MulC(c int32) *Grid { return g.mapOp(func(a int32) int32 { return a * c }) }
+func (g *Grid) MulC(c int32) *Grid { return g.constOp(opMul, c) }
 
 // AddC returns the grid plus constant c.
-func (g *Grid) AddC(c int32) *Grid { return g.mapOp(func(a int32) int32 { return a + c }) }
+func (g *Grid) AddC(c int32) *Grid { return g.constOp(opAdd, c) }
 
 // ModC returns the grid modulo constant c (c > 0).
 func (g *Grid) ModC(c int32) *Grid {
 	if c <= 0 {
 		panic(fmt.Sprintf("simdvm: ModC(%d)", c))
 	}
-	return g.mapOp(func(a int32) int32 { return a % c })
+	return g.constOp(opMod, c)
 }
 
-func (g *Grid) mapOp(f func(int32) int32) *Grid {
+func (g *Grid) constOp(op arith, c int32) *Grid {
 	out := g.m.NewGrid(g.W, g.H)
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = f(g.v[i])
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { arithVC(op, out.v[lo:hi], g.v[lo:hi], c) })
 	return out
 }
 
 // cmpOp applies a comparison elementwise producing a mask.
-func (g *Grid) cmpOp(op string, other *Grid, f func(a, b int32) bool) *BoolGrid {
+func (g *Grid) cmpOp(name string, op rel, other *Grid) *BoolGrid {
 	g.m.sameMachine(other.m)
-	checkLen(op, len(g.v), len(other.v))
+	checkLen(name, len(g.v), len(other.v))
 	out := g.m.NewBoolGrid(g.W, g.H)
 	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = f(g.v[i], other.v[i])
-		}
-	})
+	g.m.parFor(len(g.v), func(lo, hi int) { cmpVV(op, out.v[lo:hi], g.v[lo:hi], other.v[lo:hi]) })
 	return out
 }
 
 // Eq returns the elementwise equality mask.
-func (g *Grid) Eq(other *Grid) *BoolGrid {
-	return g.cmpOp("Eq", other, func(a, b int32) bool { return a == b })
-}
+func (g *Grid) Eq(other *Grid) *BoolGrid { return g.cmpOp("Eq", opEq, other) }
 
 // Ne returns the elementwise inequality mask.
-func (g *Grid) Ne(other *Grid) *BoolGrid {
-	return g.cmpOp("Ne", other, func(a, b int32) bool { return a != b })
+func (g *Grid) Ne(other *Grid) *BoolGrid { return g.cmpOp("Ne", opNe, other) }
+
+func (g *Grid) cmpConst(op rel, c int32) *BoolGrid {
+	out := g.m.NewBoolGrid(g.W, g.H)
+	g.m.chargeElem(len(g.v))
+	g.m.parFor(len(g.v), func(lo, hi int) { cmpVC(op, out.v[lo:hi], g.v[lo:hi], c) })
+	return out
 }
 
 // EqC returns the mask of elements equal to c.
-func (g *Grid) EqC(c int32) *BoolGrid {
-	out := g.m.NewBoolGrid(g.W, g.H)
-	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = g.v[i] == c
-		}
-	})
-	return out
-}
+func (g *Grid) EqC(c int32) *BoolGrid { return g.cmpConst(opEq, c) }
 
 // LeC returns the mask of elements ≤ c.
-func (g *Grid) LeC(c int32) *BoolGrid {
-	out := g.m.NewBoolGrid(g.W, g.H)
-	g.m.chargeElem(len(g.v))
-	g.m.parFor(len(g.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = g.v[i] <= c
-		}
-	})
-	return out
-}
+func (g *Grid) LeC(c int32) *BoolGrid { return g.cmpConst(opLe, c) }
 
 // EOShiftX returns the grid shifted along x by dist (CM Fortran EOSHIFT):
 // out(x,y) = in(x−dist, y), with fill where the source is off-grid.
@@ -352,50 +291,32 @@ func (b *BoolGrid) Data() []bool { return b.v }
 // Fill sets every element.
 func (b *BoolGrid) Fill(c bool) {
 	b.m.chargeElem(len(b.v))
-	b.m.parFor(len(b.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b.v[i] = c
-		}
-	})
+	b.m.parFor(len(b.v), func(lo, hi int) { fill(b.v[lo:hi], c) })
 }
 
-func (b *BoolGrid) binOp(op string, other *BoolGrid, f func(x, y bool) bool) *BoolGrid {
+func (b *BoolGrid) binOp(name string, op logic, other *BoolGrid) *BoolGrid {
 	b.m.sameMachine(other.m)
-	checkLen(op, len(b.v), len(other.v))
+	checkLen(name, len(b.v), len(other.v))
 	out := b.m.NewBoolGrid(b.W, b.H)
 	b.m.chargeElem(len(b.v))
-	b.m.parFor(len(b.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = f(b.v[i], other.v[i])
-		}
-	})
+	b.m.parFor(len(b.v), func(lo, hi int) { logicVV(op, out.v[lo:hi], b.v[lo:hi], other.v[lo:hi]) })
 	return out
 }
 
 // And returns the elementwise conjunction.
-func (b *BoolGrid) And(other *BoolGrid) *BoolGrid {
-	return b.binOp("And", other, func(x, y bool) bool { return x && y })
-}
+func (b *BoolGrid) And(other *BoolGrid) *BoolGrid { return b.binOp("And", opAnd, other) }
 
 // Or returns the elementwise disjunction.
-func (b *BoolGrid) Or(other *BoolGrid) *BoolGrid {
-	return b.binOp("Or", other, func(x, y bool) bool { return x || y })
-}
+func (b *BoolGrid) Or(other *BoolGrid) *BoolGrid { return b.binOp("Or", opOr, other) }
 
 // AndNot returns x ∧ ¬y elementwise.
-func (b *BoolGrid) AndNot(other *BoolGrid) *BoolGrid {
-	return b.binOp("AndNot", other, func(x, y bool) bool { return x && !y })
-}
+func (b *BoolGrid) AndNot(other *BoolGrid) *BoolGrid { return b.binOp("AndNot", opAndNot, other) }
 
 // Not returns the elementwise negation.
 func (b *BoolGrid) Not() *BoolGrid {
 	out := b.m.NewBoolGrid(b.W, b.H)
 	b.m.chargeElem(len(b.v))
-	b.m.parFor(len(b.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = !b.v[i]
-		}
-	})
+	b.m.parFor(len(b.v), func(lo, hi int) { not(out.v[lo:hi], b.v[lo:hi]) })
 	return out
 }
 
@@ -456,136 +377,26 @@ func (b *BoolGrid) ToInt() *Grid {
 // Count reduces the mask to the number of true elements.
 func (b *BoolGrid) Count() int {
 	b.m.chargeScan(len(b.v))
-	total := 0
-	// Reduction runs tiled with per-chunk partials combined on the front end.
-	parts := make(chan int, b.m.workers+1)
-	var issued int
-	b.m.parForCollect(len(b.v), &issued, parts, func(lo, hi int) int {
-		n := 0
-		for i := lo; i < hi; i++ {
-			if b.v[i] {
-				n++
-			}
-		}
-		return n
-	})
-	for i := 0; i < issued; i++ {
-		total += <-parts
-	}
-	return total
+	return countTiled(b.m, b.v)
 }
 
 // Any reduces the mask to whether any element is true.
 func (b *BoolGrid) Any() bool { return b.Count() > 0 }
 
-// reduceMax/reduceMin combine tiled partial reductions.
-func reduceMax(m *Machine, v []int32) int32 {
-	parts := make(chan int32, m.workers+1)
-	var issued int
-	m.parForCollect32(len(v), &issued, parts, func(lo, hi int) int32 {
-		best := v[lo]
-		for i := lo + 1; i < hi; i++ {
-			if v[i] > best {
-				best = v[i]
-			}
-		}
-		return best
-	})
-	best := <-parts
-	for i := 1; i < issued; i++ {
-		if p := <-parts; p > best {
-			best = p
-		}
+// countTiled counts the set elements of v, tiled with per-chunk partials
+// combined on the front end.
+func countTiled(m *Machine, v []bool) int {
+	if len(v) == 0 {
+		return 0
 	}
-	return best
+	return reduce(m, len(v), func(lo, hi int) int { return count(v[lo:hi]) }, func(a, b int) int { return a + b })
+}
+
+// reduceMax/reduceMin combine tiled partial reductions of a non-empty v.
+func reduceMax(m *Machine, v []int32) int32 {
+	return reduce(m, len(v), func(lo, hi int) int32 { return slices.Max(v[lo:hi]) }, func(a, b int32) int32 { return max(a, b) })
 }
 
 func reduceMin(m *Machine, v []int32) int32 {
-	parts := make(chan int32, m.workers+1)
-	var issued int
-	m.parForCollect32(len(v), &issued, parts, func(lo, hi int) int32 {
-		best := v[lo]
-		for i := lo + 1; i < hi; i++ {
-			if v[i] < best {
-				best = v[i]
-			}
-		}
-		return best
-	})
-	best := <-parts
-	for i := 1; i < issued; i++ {
-		if p := <-parts; p < best {
-			best = p
-		}
-	}
-	return best
-}
-
-// parForCollect runs f over chunks and sends each chunk's int result on
-// parts; *issued receives the number of chunks.
-func (m *Machine) parForCollect(n int, issued *int, parts chan int, f func(lo, hi int) int) {
-	if n <= 0 {
-		*issued = 0
-		return
-	}
-	w := m.workers
-	if w <= 1 || n < parTile {
-		parts <- f(0, n)
-		*issued = 1
-		return
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	count := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		count++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			parts <- f(lo, hi)
-		}(lo, hi)
-	}
-	*issued = count
-	wg.Wait()
-}
-
-// parForCollect32 is parForCollect for int32 partials.
-func (m *Machine) parForCollect32(n int, issued *int, parts chan int32, f func(lo, hi int) int32) {
-	if n <= 0 {
-		*issued = 0
-		return
-	}
-	w := m.workers
-	if w <= 1 || n < parTile {
-		parts <- f(0, n)
-		*issued = 1
-		return
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	count := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		count++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			parts <- f(lo, hi)
-		}(lo, hi)
-	}
-	*issued = count
-	wg.Wait()
+	return reduce(m, len(v), func(lo, hi int) int32 { return slices.Min(v[lo:hi]) }, func(a, b int32) int32 { return min(a, b) })
 }

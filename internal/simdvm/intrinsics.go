@@ -1,5 +1,7 @@
 package simdvm
 
+import "slices"
+
 // Additional CM Fortran intrinsics: circular shifts (CSHIFT), axis
 // reductions (MINVAL/MAXVAL/SUM with DIM=), SPREAD, and TRANSPOSE. The
 // region growing engines use the end-off shift family; these complete the
@@ -70,44 +72,36 @@ func (g *Grid) Transpose() *Grid {
 
 // ReduceRowsMin returns a length-H vector of per-row minima
 // (MINVAL(a, DIM=1)). The grid must have at least one column.
-func (g *Grid) ReduceRowsMin() *Vec {
-	return g.reduceRows("ReduceRowsMin", func(a, b int32) int32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
+func (g *Grid) ReduceRowsMin() *Vec { return g.reduceRows("ReduceRowsMin", opMin) }
 
 // ReduceRowsMax returns a length-H vector of per-row maxima.
-func (g *Grid) ReduceRowsMax() *Vec {
-	return g.reduceRows("ReduceRowsMax", func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+func (g *Grid) ReduceRowsMax() *Vec { return g.reduceRows("ReduceRowsMax", opMax) }
 
 // ReduceRowsSum returns a length-H vector of per-row sums.
-func (g *Grid) ReduceRowsSum() *Vec {
-	return g.reduceRows("ReduceRowsSum", func(a, b int32) int32 { return a + b })
-}
+func (g *Grid) ReduceRowsSum() *Vec { return g.reduceRows("ReduceRowsSum", opAdd) }
 
-func (g *Grid) reduceRows(op string, f func(a, b int32) int32) *Vec {
+func (g *Grid) reduceRows(name string, op arith) *Vec {
 	if g.W == 0 {
-		panic("simdvm: " + op + " of zero-width grid")
+		panic("simdvm: " + name + " of zero-width grid")
 	}
 	out := g.m.NewVec(g.H)
 	g.m.chargeScan(len(g.v))
 	w := g.W
 	g.m.parFor(g.H, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			acc := g.v[y*w]
-			for x := 1; x < w; x++ {
-				acc = f(acc, g.v[y*w+x])
+			row := g.v[y*w : (y+1)*w]
+			switch op {
+			case opMin:
+				out.v[y] = slices.Min(row)
+			case opMax:
+				out.v[y] = slices.Max(row)
+			default:
+				var sum int32
+				for _, x := range row {
+					sum += x
+				}
+				out.v[y] = sum
 			}
-			out.v[y] = acc
 		}
 	})
 	return out
@@ -127,6 +121,7 @@ func (g *Grid) ReduceColsSum() *Vec { return g.Transpose().ReduceRowsSum() }
 // W×H grid: out(x, y) = v(y) (CM Fortran SPREAD).
 func (m *Machine) SpreadRows(v *Vec, w int) *Grid {
 	m.sameMachine(v.m)
+	dense("SpreadRows", v)
 	out := m.NewGrid(w, v.Len())
 	m.chargeElem(w * v.Len())
 	m.parFor(v.Len(), func(lo, hi int) {
@@ -145,6 +140,7 @@ func (m *Machine) SpreadRows(v *Vec, w int) *Grid {
 // grid: out(x, y) = v(x).
 func (m *Machine) SpreadCols(v *Vec, h int) *Grid {
 	m.sameMachine(v.m)
+	dense("SpreadCols", v)
 	w := v.Len()
 	out := m.NewGrid(w, h)
 	m.chargeElem(w * h)
@@ -158,10 +154,8 @@ func (m *Machine) SpreadCols(v *Vec, h int) *Grid {
 
 // SegScanMaxBroadcast is the max-combining sibling of SegMinBroadcast.
 func (a *Vec) SegScanMaxBroadcast(starts *BoolVec, mask *BoolVec, sentinel int32) *Vec {
-	a.m.sameMachine(starts.m)
-	a.m.sameMachine(mask.m)
-	checkLen("SegScanMaxBroadcast", len(a.v), len(starts.v))
-	checkLen("SegScanMaxBroadcast", len(a.v), len(mask.v))
+	conform("SegScanMaxBroadcast", a, starts, mask)
+	dense("SegScanMaxBroadcast", a)
 	out := a.m.NewVec(len(a.v))
 	a.m.chargeScan(len(a.v))
 	a.m.chargeScan(len(a.v))
@@ -187,10 +181,8 @@ func (a *Vec) SegScanMaxBroadcast(starts *BoolVec, mask *BoolVec, sentinel int32
 // SegScanAddBroadcast computes per-segment sums of masked elements,
 // broadcast to every element of the segment.
 func (a *Vec) SegScanAddBroadcast(starts *BoolVec, mask *BoolVec) *Vec {
-	a.m.sameMachine(starts.m)
-	a.m.sameMachine(mask.m)
-	checkLen("SegScanAddBroadcast", len(a.v), len(starts.v))
-	checkLen("SegScanAddBroadcast", len(a.v), len(mask.v))
+	conform("SegScanAddBroadcast", a, starts, mask)
+	dense("SegScanAddBroadcast", a)
 	out := a.m.NewVec(len(a.v))
 	a.m.chargeScan(len(a.v))
 	a.m.chargeScan(len(a.v))

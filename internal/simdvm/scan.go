@@ -1,7 +1,5 @@
 package simdvm
 
-import "sort"
-
 // Scans, segmented scans, sorting, and stream compaction. On the CM these
 // are the library primitives (scan, rank, pack) CM Fortran programs lean
 // on; here they execute sequentially or tiled on the host but are charged
@@ -9,6 +7,7 @@ import "sort"
 
 // ScanAddExclusive returns the exclusive prefix sum: out(i) = Σ_{j<i} a(j).
 func (a *Vec) ScanAddExclusive() *Vec {
+	dense("ScanAddExclusive", a)
 	out := a.m.NewVec(len(a.v))
 	a.m.chargeScan(len(a.v))
 	var sum int32
@@ -21,6 +20,7 @@ func (a *Vec) ScanAddExclusive() *Vec {
 
 // SumValue reduces the vector to the sum of its elements.
 func (a *Vec) SumValue() int32 {
+	dense("SumValue", a)
 	a.m.chargeScan(len(a.v))
 	var sum int32
 	for _, x := range a.v {
@@ -31,6 +31,7 @@ func (a *Vec) SumValue() int32 {
 
 // MaxValue reduces to the maximum element. Panics on empty vectors.
 func (a *Vec) MaxValue() int32 {
+	dense("MaxValue", a)
 	if len(a.v) == 0 {
 		panic("simdvm: MaxValue of empty vec")
 	}
@@ -41,6 +42,7 @@ func (a *Vec) MaxValue() int32 {
 // SegStarts derives the segment-start mask of a vector sorted by segment
 // key: start(i) = i==0 ∨ key(i)≠key(i−1).
 func (a *Vec) SegStarts() *BoolVec {
+	dense("SegStarts", a)
 	out := a.m.NewBoolVec(len(a.v))
 	a.m.chargeElem(len(a.v))
 	a.m.parFor(len(a.v), func(lo, hi int) {
@@ -57,10 +59,8 @@ func (a *Vec) SegStarts() *BoolVec {
 // This is a forward segmented min-scan followed by a backward broadcast,
 // charged as two scan operations.
 func (a *Vec) SegMinBroadcast(starts *BoolVec, mask *BoolVec, sentinel int32) *Vec {
-	a.m.sameMachine(starts.m)
-	a.m.sameMachine(mask.m)
-	checkLen("SegMinBroadcast", len(a.v), len(starts.v))
-	checkLen("SegMinBroadcast", len(a.v), len(mask.v))
+	conform("SegMinBroadcast", a, starts, mask)
+	dense("SegMinBroadcast", a)
 	out := a.m.NewVec(len(a.v))
 	a.m.chargeScan(len(a.v))
 	a.m.chargeScan(len(a.v))
@@ -90,8 +90,8 @@ func (a *Vec) SegMinBroadcast(starts *BoolVec, mask *BoolVec, sentinel int32) *V
 // of its segment (count). Two segmented scans.
 func (m *Machine) SegRankCount(starts *BoolVec, mask *BoolVec) (rank, count *Vec) {
 	m.sameMachine(starts.m)
-	m.sameMachine(mask.m)
-	checkLen("SegRankCount", len(starts.v), len(mask.v))
+	conform("SegRankCount", starts, mask)
+	dense("SegRankCount", starts)
 	n := len(starts.v)
 	rank = m.NewVec(n)
 	count = m.NewVec(n)
@@ -122,26 +122,61 @@ func (m *Machine) SegRankCount(starts *BoolVec, mask *BoolVec) (rank, count *Vec
 
 // SortPairs sorts (key1, key2) pairs lexicographically, returning the
 // permutation as an index vector: out(i) is the position in the input of
-// the i-th smallest pair. Apply it with Gather to reorder companion
-// vectors. Charged as one parallel sort (bitonic cost).
+// the i-th smallest pair. Equal pairs keep their input order. Apply it
+// with Gather to reorder companion vectors. Charged as one parallel sort
+// (bitonic cost).
 func (m *Machine) SortPairs(key1, key2 *Vec) *Vec {
 	m.sameMachine(key1.m)
-	m.sameMachine(key2.m)
-	checkLen("SortPairs", len(key1.v), len(key2.v))
+	conform("SortPairs", key1, key2)
+	dense("SortPairs", key1)
 	n := len(key1.v)
-	perm := m.NewVec(n)
-	for i := range perm.v {
-		perm.v[i] = int32(i)
-	}
 	m.chargeSort(n)
-	sort.Slice(perm.v, func(i, j int) bool {
-		pi, pj := perm.v[i], perm.v[j]
-		if key1.v[pi] != key1.v[pj] {
-			return key1.v[pi] < key1.v[pj]
-		}
-		return key2.v[pi] < key2.v[pj]
-	})
+	// One ordered 64-bit key per pair: flipping the sign bit maps int32
+	// order onto uint32 order.
+	ks := make([]keyed, n)
+	for i := range ks {
+		ks[i] = keyed{uint64(uint32(key1.v[i])^1<<31)<<32 | uint64(uint32(key2.v[i])^1<<31), int32(i)}
+	}
+	perm := m.NewVec(n)
+	for i, k := range radixSort(ks, make([]keyed, n)) {
+		perm.v[i] = k.at
+	}
 	return perm
+}
+
+// keyed is a sort key with the input position it came from.
+type keyed struct {
+	key uint64
+	at  int32
+}
+
+// radixSort sorts ks by key, stably, with one least-significant-digit
+// pass per key byte; it skips the bytes every key shares. tmp is scratch
+// of ks's length. It returns whichever of the two holds the result.
+func radixSort(ks, tmp []keyed) []keyed {
+	var diff uint64
+	for _, k := range ks {
+		diff |= k.key ^ ks[0].key
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var start [257]int
+		for _, k := range ks {
+			start[k.key>>shift&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, k := range ks {
+			d := k.key >> shift & 0xff
+			tmp[start[d]] = k
+			start[d]++
+		}
+		ks, tmp = tmp, ks
+	}
+	return ks
 }
 
 // Pack compacts the elements of each vector in vs selected by mask,
@@ -151,10 +186,10 @@ func (m *Machine) SortPairs(key1, key2 *Vec) *Vec {
 // send per vector.
 func (m *Machine) Pack(mask *BoolVec, vs ...*Vec) []*Vec {
 	m.sameMachine(mask.m)
+	dense("Pack", mask)
 	n := len(mask.v)
 	for _, v := range vs {
-		m.sameMachine(v.m)
-		checkLen("Pack", n, len(v.v))
+		conform("Pack", mask, v)
 	}
 	m.chargeScan(n) // enumerate
 	total := 0
@@ -218,6 +253,7 @@ func (m *Machine) Concat(vs ...*Vec) *Vec {
 	total := 0
 	for _, v := range vs {
 		m.sameMachine(v.m)
+		dense("Concat", v)
 		total += len(v.v)
 	}
 	out := m.NewVec(total)
@@ -239,42 +275,13 @@ func (g *Grid) Flatten() *Vec {
 	return out
 }
 
-// MaxC returns the elementwise maximum with constant c — used to clamp
-// sentinel indices before a Gather.
-func (a *Vec) MaxC(c int32) *Vec {
-	out := a.m.NewVec(len(a.v))
-	a.m.chargeElem(len(a.v))
-	a.m.parFor(len(a.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if a.v[i] > c {
-				out.v[i] = a.v[i]
-			} else {
-				out.v[i] = c
-			}
-		}
-	})
-	return out
-}
-
-// AddC returns the vector plus constant c.
-func (a *Vec) AddC(c int32) *Vec {
-	out := a.m.NewVec(len(a.v))
-	a.m.chargeElem(len(a.v))
-	a.m.parFor(len(a.v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.v[i] = a.v[i] + c
-		}
-	})
-	return out
-}
-
 // PairDup returns the mask of positions whose (a, b) pair equals the
 // previous position's pair — the duplicate-edge detector run after sorting
 // edge arrays.
 func (m *Machine) PairDup(a, b *Vec) *BoolVec {
 	m.sameMachine(a.m)
-	m.sameMachine(b.m)
-	checkLen("PairDup", len(a.v), len(b.v))
+	conform("PairDup", a, b)
+	dense("PairDup", a)
 	out := m.NewBoolVec(len(a.v))
 	m.chargeElem(len(a.v))
 	m.parFor(len(a.v), func(lo, hi int) {
@@ -286,8 +293,8 @@ func (m *Machine) PairDup(a, b *Vec) *BoolVec {
 }
 
 // PointerJump resolves representative chains in place: rep = rep[rep]
-// applied until a fixed point, each round charged as a router gather plus
-// a reduction. Classic data-parallel pointer jumping; converges in
+// applied until a fixed point, each round charged as a router gather, an
+// elementwise comparison and a reduction. Classic data-parallel pointer jumping; converges in
 // O(log chain length) rounds. It returns the number of rounds executed.
 func (a *Vec) PointerJump() int {
 	rounds := 0

@@ -98,35 +98,61 @@ func (m *Machine) chargeSort(n int) {
 // dominates and a single goroutine is faster.
 const parTile = 8192
 
+// tile returns the chunk length parFor splits n elements into: n itself
+// when the op runs on one goroutine.
+func (m *Machine) tile(n int) int {
+	w := min(m.workers, n)
+	if w <= 1 || n < parTile {
+		return n
+	}
+	return (n + w - 1) / w
+}
+
 // parFor executes f over [0, n) split into contiguous chunks, one per
 // worker goroutine. Chunks never overlap, so f may write disjoint slices
-// of shared arrays without synchronization.
+// of shared arrays without synchronization. A panic in any chunk is
+// raised again on the calling goroutine once every chunk has finished.
 func (m *Machine) parFor(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := m.workers
-	if w <= 1 || n < parTile {
+	chunk := m.tile(n)
+	if chunk == n {
 		f(0, n)
 		return
 	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
+	var once sync.Once
+	var fault any
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { fault = r })
+				}
+			}()
 			f(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
+}
+
+// reduce runs part over parFor's chunks of [0, n), n > 0, and folds the
+// partials in chunk order with combine.
+func reduce[T any](m *Machine, n int, part func(lo, hi int) T, combine func(a, b T) T) T {
+	chunk := m.tile(n)
+	parts := make([]T, (n+chunk-1)/chunk)
+	m.parFor(n, func(lo, hi int) { parts[lo/chunk] = part(lo, hi) })
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		acc = combine(acc, p)
+	}
+	return acc
 }
 
 func (m *Machine) sameMachine(other *Machine) {
