@@ -9,6 +9,7 @@ import (
 	"regiongrow/internal/homog"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 	"regiongrow/internal/rag"
 )
 
@@ -50,7 +51,7 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 		t.Fatal(err)
 	}
 	if !want.EqualLabels(got) {
-		t.Fatalf("labels differ from sequential (tie=%v seed=%d T=%d)", cfg.Tie, cfg.Seed, cfg.Threshold)
+		t.Fatalf("%dx%d: labels differ from sequential (tie=%v seed=%d T=%d cap=%d)", im.W, im.H, cfg.Tie, cfg.Seed, cfg.Threshold, cfg.MaxSquare)
 	}
 	if want.SplitIterations != got.SplitIterations {
 		t.Fatalf("split iterations %d vs %d", want.SplitIterations, got.SplitIterations)
@@ -64,10 +65,8 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 	if want.FinalRegions != got.FinalRegions {
 		t.Fatalf("final regions %d vs %d", want.FinalRegions, got.FinalRegions)
 	}
-	for i, m := range want.MergesPerIter {
-		if got.MergesPerIter[i] != m {
-			t.Fatalf("merges in iteration %d: %d vs %d", i+1, m, got.MergesPerIter[i])
-		}
+	if !slices.Equal(want.MergesPerIter, got.MergesPerIter) {
+		t.Fatalf("merges per iteration %v vs %v", want.MergesPerIter, got.MergesPerIter)
 	}
 	if err := core.Validate(got, im, cfg.Criterion()); err != nil {
 		t.Fatal(err)
@@ -94,28 +93,33 @@ func TestMatchesSequentialAcrossConfigs(t *testing.T) {
 	}
 }
 
+// TestMatchesSequentialProperty checks byte-identity with the sequential
+// engine on random w×h images from 1 to 70 on a side (1-row and 1-column
+// strips included), any threshold, tie policy, seed and square cap.
 func TestMatchesSequentialProperty(t *testing.T) {
 	e := newEngine(t, machine.CM2_8K)
-	err := quick.Check(func(seed uint64, tRaw, policyRaw uint8) bool {
-		im := pixmap.Random(32, seed)
+	caps := []int{0, 1, 2, 4, 8, 16, -1}
+	ties := []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random}
+	levels := []int{1, 2, 3, 4, 8, 16, 64, 256}
+	err := quick.Check(func(seed uint64, wRaw, hRaw, shape, grey, tRaw, tie, capRaw uint8) bool {
+		w, h := 1+int(wRaw)%70, 1+int(hRaw)%70
+		switch shape % 4 {
+		case 0:
+			h = 1
+		case 1:
+			w = 1
+		}
+		// Few grey levels make homogeneous squares and merges likely.
+		q := levels[int(grey)%len(levels)]
+		g := prand.New(seed)
+		im := pixmap.New(w, h)
 		for i := range im.Pix {
-			im.Pix[i] &= 0x3F
+			im.Pix[i] = uint8(g.Intn(q) * (256 / q))
 		}
-		cfg := core.Config{
-			Threshold: int(tRaw % 64),
-			Tie:       []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random}[policyRaw%3],
-			Seed:      seed,
-		}
-		want, err := core.Sequential{}.Segment(im, cfg)
-		if err != nil {
-			return false
-		}
-		got, err := e.Segment(im, cfg)
-		if err != nil {
-			return false
-		}
-		return want.EqualLabels(got) && want.MergeIterations == got.MergeIterations
-	}, &quick.Config{MaxCount: 25})
+		cfg := core.Config{Threshold: int(tRaw), Tie: ties[int(tie)%len(ties)], Seed: g.Uint64(), MaxSquare: caps[int(capRaw)%len(caps)]}
+		assertMatchesSequential(t, e, im, cfg)
+		return true
+	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
