@@ -8,6 +8,10 @@
 //  2. A graph vertex is created per square region and an edge per
 //     neighbouring pair; vertices and edges live in 1-D parallel arrays;
 //     edges violating the homogeneity criterion are (and stay) inactive.
+//     The vertex arrays span the pixel domain, indexed by region ID (the
+//     square's origin pixel), but are stored on a simdvm.Layout of the
+//     origins only: the host works on live regions while every op is
+//     charged over all w·h virtual processors, as the CM program is.
 //  3. Every region determines its best mergeable neighbour with a
 //     segmented min-scan over the edge array; ties break by policy;
 //     mutual choices merge.

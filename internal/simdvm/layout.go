@@ -31,10 +31,6 @@ func (m *Machine) SparseLayout(mask *BoolGrid) *Layout {
 	return l
 }
 
-// Len returns the number of positions of the domain (the VPs an op on
-// the layout is charged for), not the number of stored slots.
-func (l *Layout) Len() int { return l.n }
-
 // slotOf translates a position to its slot, panicking where none is
 // stored.
 func (l *Layout) slotOf(p int32) int32 {
@@ -50,8 +46,8 @@ func (l *Layout) NewVec() *Vec { return &Vec{m: l.m, lay: l, v: make([]int32, le
 // NewBoolVec allocates a false mask on the layout.
 func (l *Layout) NewBoolVec() *BoolVec { return &BoolVec{m: l.m, lay: l, v: make([]bool, len(l.pos))} }
 
-// IotaVec returns the vector holding every stored position's own index —
-// the layout's IotaVec(n).
+// IotaVec is Machine.IotaVec on the layout: every stored slot holds its
+// own position.
 func (l *Layout) IotaVec() *Vec {
 	out := l.NewVec()
 	l.m.chargeElem(l.n)

@@ -185,7 +185,7 @@ func TestSparseMatchesDense(t *testing.T) {
 		mask := sm.NewBoolGrid(n, 1)
 		copy(mask.v, c.live)
 		lay := sm.SparseLayout(mask)
-		if lay.Len() != n || !slices.Equal(lay.pos, c.pos) {
+		if lay.n != n || !slices.Equal(lay.pos, c.pos) {
 			t.Fatalf("n=%d: layout holds %v, want %v", n, lay.pos, c.pos)
 		}
 		want := c.run(domain{m: dm, n: n})
